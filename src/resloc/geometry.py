@@ -157,10 +157,6 @@ class RingSpec:
             return NotImplemented
         return self.to_json() == other.to_json()
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __repr__(self):
         if self.kind == "projective":
             return "P^%d" % self.n

@@ -76,10 +76,6 @@ class JFunction:
         return (self.ring_spec == other.ring_spec and self.trunc == other.trunc
                 and self.coeffs == other.coeffs)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def to_json(self):
         from .fmt import fmt_tuple
         coeffs = {}
@@ -211,10 +207,6 @@ class IFunction:
             return NotImplemented
         return (self.ring_spec == other.ring_spec and self.l == other.l
                 and self.trunc == other.trunc and self.coeffs == other.coeffs)
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
 
 def i_function(n, l, trunc):

@@ -7,6 +7,7 @@ every Euler class produced by the localization formulas looks like.
 """
 
 from fractions import Fraction
+from math import comb
 
 from .errors import NotInvertible, RingMismatch
 from .ring import CohClass, Ring, as_fraction
@@ -184,10 +185,6 @@ class LaurentClass:
             other = coerced
         return self.ring == other.ring and self.terms == other.terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -259,3 +256,22 @@ def laurent_invert(e):
             raise NotInvertible("geometric series failed to terminate; "
                                 "the element is not of unit form")
     return out.shift(-k) * (Fraction(1) / c)
+
+
+def invert_linear_power(c, x, k):
+    """(c*t + x)^-k for a nonzero rational c, a nilpotent CohClass x and k >= 1.
+
+    The binomial series sum_j binom(-k, j) * x^j * (c*t)^(-k-j) terminates
+    because x has no scalar part, so x^j = 0 beyond the nilpotency bound.
+    """
+    if c == 0 or x.scalar_part != 0:
+        raise NotInvertible("c*t + x needs c != 0 and x nilpotent")
+    c = as_fraction(c)
+    out = {}
+    power = x.ring.one()
+    j = 0
+    while not power.is_zero():
+        out[-k - j] = power * ((-1) ** j * comb(k + j - 1, j) / c ** (k + j))
+        power = power * x
+        j += 1
+    return LaurentClass(x.ring, out)

@@ -24,7 +24,7 @@ class ExactSolver:
         row = {v: c for v, c in row.items() if c != 0}
         rhs = Fraction(rhs)
         # reduce against existing pivot rows
-        for v in sorted(set(row) & set(self.pivots)):
+        for v in sorted(v for v in row if v in self.pivots):
             c = row.pop(v)
             prow, prhs = self.pivots[v]
             for u, pc in prow.items():

@@ -177,10 +177,6 @@ class QSeries:
         return (self.ring == other.ring and self.nvars == other.nvars
                 and self.trunc == other.trunc and self.terms == other.terms)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -337,10 +337,6 @@ class Relation:
                 and self.divisor_index == other.divisor_index
                 and self.k == other.k and self.coeffs == other.coeffs)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def to_json(self):
         coeffs = {}
         for j in sorted(self.coeffs):

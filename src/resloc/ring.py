@@ -51,10 +51,6 @@ class Ring:
         return (self.gens == other.gens and self.truncs == other.truncs
                 and self.norm == other.norm)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((self.gens, self.truncs, self.norm))
 
@@ -217,10 +213,6 @@ class CohClass:
         if not isinstance(other, CohClass):
             return NotImplemented
         return self.ring == other.ring and self.coeffs == other.coeffs
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __repr__(self):
         if not self.coeffs:

@@ -10,10 +10,10 @@ polynomials in the Chern roots reduce to reading off one residue coefficient.
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .errors import MissingZetaEntry, RepeatedWeight
-from .laurent import LaurentClass, laurent_invert
+from .laurent import LaurentClass, invert_linear_power, laurent_invert
 from .linalg import ExactSolver
 from .ring import CohClass, Ring
 
@@ -249,10 +249,6 @@ class ZetaTable:
         return (self.m == other.m and self.n == other.n
                 and self.entries == other.entries)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
 
 def _zeta_exponents(m, n):
     """All A with |A| <= flag_band(m, n), sorted."""
@@ -275,6 +271,27 @@ def _suggested_sample_count(m, n):
     band = flag_band(m, n)
     largest_level = comb(band + m - 2, m - 2) if m > 2 else 1
     return max(3, -(-largest_level // m) + 1)
+
+
+def _flag_euler_inverse(perm, wv, n):
+    """Inverse of flag_fixed_locus_euler(perm, wv, n) for |A| <= flag_band.
+
+    The Euler class is S * t^e * prod_s (c_s*t - zeta_s) with
+    S = prod_(j<k) (w_(i_k) - w_(i_j)), e = m(m-1)/2, c_s = w_(i_(s+1)) - w_(i_s).
+    As (c*t - zeta)^-1 = sum_a zeta^a * (c*t)^-(a+1), each A has one term:
+    zeta^A * t^-(e + |A| + m - 1) / (S * prod_s c_s^(a_s+1)).
+    """
+    m = len(perm)
+    w = [wv[p - 1] for p in perm]
+    scale = prod(w[k] - w[j] for j, k in itertools.combinations(range(m), 2))
+    cs = [w[s + 1] - w[s] for s in range(m - 1)]
+    top = m * (m - 1) // 2 + m - 1
+    ring = zeta_ring(m, n)
+    terms = {}
+    for a_exps in _zeta_exponents(m, n):
+        den = scale * prod(c ** (a + 1) for c, a in zip(cs, a_exps))
+        terms.setdefault(-top - sum(a_exps), {})[a_exps] = Fraction(1, den)
+    return LaurentClass(ring, {j: CohClass(ring, c) for j, c in terms.items()})
 
 
 def flag_pushforward_extract(m, n, weight_samples=None):
@@ -302,28 +319,26 @@ def flag_pushforward_extract(m, n, weight_samples=None):
     unknowns = [(a_exps, b) for a_exps in exponents for b in range(n)]
     solver = ExactSolver()
     perms = list(itertools.permutations(range(1, m + 1)))
-    band = flag_band(m, n)
+    ring = pv_ring(n)
+    h = ring.generator("h")
     for wv in samples:
         for i in range(1, m + 1):
-            lhs = None
+            lhs = LaurentClass.zero(zeta_ring(m, n))
             for perm in perms:
-                if perm[0] != i:
-                    continue
-                inv = laurent_invert(flag_fixed_locus_euler(perm, wv, n))
-                lhs = inv if lhs is None else lhs + inv
-            rhs = laurent_invert(projective_fixed_locus_euler(i, wv, n))
+                if perm[0] == i:
+                    lhs = lhs + _flag_euler_inverse(perm, wv, n)
+            rhs = LaurentClass.one(ring)
+            for s in range(m):
+                if s != i - 1:
+                    rhs = rhs * invert_linear_power(wv[s] - wv[i - 1], h, n)
             for j in sorted(set(lhs.terms) | set(rhs.terms)):
                 lc = lhs.coefficient(j)
                 rc = rhs.coefficient(j)
                 for b in range(n):
-                    row = {}
-                    for a_exps, r in lc.coeffs.items():
-                        if sum(a_exps) <= band:
-                            row[(a_exps, b)] = r
+                    row = {(a_exps, b): r for a_exps, r in lc.coeffs.items()}
                     solver.add_equation(row, rc.coeff((b,)))
     values = solver.solution(unknowns)
 
-    ring = pv_ring(n)
     entries = {}
     for a_exps in exponents:
         coeffs = {}

@@ -206,10 +206,6 @@ class SymPoly:
             return NotImplemented
         return self.m == other.m and self.coeffs == other.coeffs
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def evaluate(self, args):
         """Evaluate at LaurentClass arguments (one per variable).
 

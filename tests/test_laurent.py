@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resloc.errors import NotInvertible, RingMismatch
-from resloc.laurent import (LaurentClass, coeff, laurent_invert, neg_part,
-                            pos_part)
+from resloc.laurent import (LaurentClass, coeff, invert_linear_power,
+                            laurent_invert, neg_part, pos_part)
 from resloc.ring import CohClass, Ring
 
 R = Ring(("H",), (2,))
 R2 = Ring(("h", "z"), (3, 3))
+R5 = Ring(("h",), (5,))
 
 
 def H(ring=R, name="H"):
@@ -117,6 +118,38 @@ def test_invert_round_trip(a, k, c):
     inv = laurent_invert(e)
     assert inv * e == LaurentClass.one(R2)
     assert laurent_invert(inv) == e
+
+
+def nilpotents(ring):
+    exps = st.tuples(*[st.integers(0, tr - 1) for tr in ring.truncs]).filter(any)
+    frac = st.fractions(min_value=-20, max_value=20, max_denominator=5)
+    return st.dictionaries(exps, frac, max_size=4).map(
+        lambda d: CohClass(ring, {e: c for e, c in d.items() if c}))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([R5, R2]).flatmap(nilpotents), st.integers(1, 6),
+       st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(bool))
+def test_invert_linear_power_round_trip(x, k, c):
+    e = (t(1, c, x.ring) + LaurentClass.from_coh(x)) ** k
+    inv = invert_linear_power(c, x, k)
+    assert e * inv == LaurentClass.one(x.ring)
+    assert inv == laurent_invert(e)
+
+
+def test_invert_linear_power_hand_value():
+    # 1/(-2t + H) = -1/2 t^-1 - 1/4 H t^-2 when H^2 = 0
+    inv = invert_linear_power(-2, R.generator("H"), 1)
+    assert inv == t(-1, Fraction(-1, 2)) + H().shift(-2) * Fraction(-1, 4)
+
+
+def test_invert_linear_power_rejects_non_units():
+    with pytest.raises(NotInvertible):
+        invert_linear_power(0, R2.generator("h"), 2)
+    with pytest.raises(NotInvertible):
+        invert_linear_power(Fraction(0), R5.zero(), 1)
+    with pytest.raises(NotInvertible):
+        invert_linear_power(3, R2.generator("z") + 1, 2)  # scalar part
 
 
 def test_map_coefficients():

@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 
 from resloc.errors import MissingZetaEntry, RepeatedWeight
-from resloc.schubert import (WeightVector, ZetaTable, closed_form_m2,
-                             default_weight_samples, fiberdim, flag_band,
+from resloc.laurent import LaurentClass, laurent_invert
+from resloc.ring import CohClass
+from resloc.schubert import (WeightVector, ZetaTable, _flag_euler_inverse,
+                             closed_form_m2, default_weight_samples, fiberdim,
+                             flag_band, flag_fixed_locus_euler,
                              flag_pushforward_extract,
                              grassmann_integral_residue, pv_ring,
                              verify_euler_pushforward_identity,
@@ -93,6 +96,23 @@ def test_extraction_weight_independent(m, n):
     shifted = [tuple((s + 3) ** i + 1 for i in range(m)) for s in range(6)]
     again = flag_pushforward_extract(m, n, shifted)
     assert base == again
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_closed_form_flag_inverse_matches_generic(m):
+    # unsorted weights, so some c_s and factors of S are negative
+    n = 5
+    w = WeightVector((5, -1, 2, 9)[:m])
+    band = flag_band(m, n)
+    for perm in itertools.permutations(range(1, m + 1)):
+        generic = laurent_invert(flag_fixed_locus_euler(perm, w, n))
+        ring = generic.ring
+        cut = {}
+        for j, c in generic.terms.items():
+            kept = {a: v for a, v in c.coeffs.items() if sum(a) <= band}
+            if kept:
+                cut[j] = CohClass(ring, kept)
+        assert _flag_euler_inverse(perm, w, n) == LaurentClass(ring, cut)
 
 
 def test_zeta_table_accessors():
