@@ -17,8 +17,7 @@ from .laurent import LaurentClass, laurent_invert, neg_part, pos_part
 from .linalg import ExactSolver, solve_unique
 from .qseries import QSeries, qs_compose, qs_exp
 from .reconstruct import (QuantumMatrix, Relation, TwoPointTable, qh_relation,
-                          quantum_mult_matrix, reconstruct_two_point,
-                          two_point_invariant)
+                          quantum_mult_matrix, reconstruct_two_point)
 from .ring import CohClass, Ring
 from .schubert import (WeightVector, ZetaTable, closed_form_m2,
                        default_weight_samples, fiberdim, flag_band,
@@ -76,7 +75,6 @@ __all__ = [
     "schur_integral_oracle",
     "solve_unique",
     "sym_power_top_chern",
-    "two_point_invariant",
     "verify_euler_pushforward_identity",
     "verify_grassmann_pushforward",
 ]

@@ -15,10 +15,6 @@ def fmt_fraction(x):
     return "%d/%d" % (x.numerator, x.denominator)
 
 
-def parse_fraction(s):
-    return Fraction(s)
-
-
 def fmt_tuple(t):
     return ",".join(str(int(x)) for x in t)
 
@@ -47,7 +43,7 @@ def laurent_from_json(ring, data):
     for j_str, coeffs in data.items():
         coh = {}
         for e_str, v_str in coeffs.items():
-            v = parse_fraction(v_str)
+            v = Fraction(v_str)
             if v:
                 coh[parse_tuple(e_str)] = v
         if coh:

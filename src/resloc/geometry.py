@@ -15,7 +15,6 @@ first Chern degrees) for dimension bookkeeping downstream.
 from fractions import Fraction
 
 from .errors import RingMismatch
-from .laurent import LaurentClass
 from .ring import CohClass, Ring
 
 
@@ -114,25 +113,6 @@ class RingSpec:
         out.sort(key=lambda e: (sum(e), e))
         return out
 
-    def embed(self, index, c):
-        """Map a CohClass from component `index` into the product ring."""
-        if self.kind != "product":
-            raise ValueError("embed only applies to product targets")
-        comp = self.components[index]
-        if c.ring != comp.ring:
-            raise RingMismatch("class does not live in component %d" % index)
-        offset = index
-        width = len(self.ring.gens)
-        out = {}
-        for (e,), v in c.coeffs.items():
-            exps = [0] * width
-            exps[offset] = e
-            out[tuple(exps)] = v
-        return CohClass(self.ring, out)
-
-    def embed_laurent(self, index, lc):
-        return lc.map_coefficients(lambda c: self.embed(index, c), self.ring)
-
     def to_json(self):
         if self.kind == "projective":
             return {"kind": "projective", "n": self.n}
@@ -196,12 +176,3 @@ def pushforward_hypersurface_laurent(lc, spec):
     return lc.map_coefficients(lambda c: pushforward_hypersurface(c, spec),
                                ambient.ring)
 
-
-def laurent_from_fraction_dict(ring, data):
-    """Build a LaurentClass from {t_exp: {exps: Fraction}} (used by JSON IO)."""
-    terms = {}
-    for j, coeffs in data.items():
-        coh = CohClass(ring, {e: v for e, v in coeffs.items() if v != 0})
-        if not coh.is_zero():
-            terms[j] = coh
-    return LaurentClass(ring, terms)

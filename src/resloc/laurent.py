@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import NotInvertible, RingMismatch
-from .ring import CohClass, Ring, as_fraction
+from .ring import CohClass, as_fraction, poly_add
 
 
 class LaurentClass:
@@ -46,6 +46,9 @@ class LaurentClass:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def coefficient(self, t_exp):
         """CohClass multiplying t^t_exp (zero class if absent)."""
         return self.terms.get(t_exp, self.ring.zero())
@@ -74,7 +77,7 @@ class LaurentClass:
         return max(self.terms)
 
     def _check_ring(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch("cannot combine Laurent elements over %r and %r"
                                % (self.ring, other.ring))
 
@@ -93,15 +96,7 @@ class LaurentClass:
             if other is None:
                 return NotImplemented
         self._check_ring(other)
-        out = dict(self.terms)
-        for j, c in other.terms.items():
-            s = out.get(j)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(j, None)
-            else:
-                out[j] = s
-        return LaurentClass(self.ring, out)
+        return LaurentClass(self.ring, poly_add(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -206,11 +201,6 @@ def neg_part(e):
 def pos_part(e):
     """Terms of e with t-exponent >= 0."""
     return LaurentClass(e.ring, {j: c for j, c in e.terms.items() if j >= 0})
-
-
-def coeff(e, exps, t_exp):
-    """Module-level alias for LaurentClass.coeff."""
-    return e.coeff(exps, t_exp)
 
 
 def laurent_invert(e):

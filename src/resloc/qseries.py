@@ -2,14 +2,15 @@
 
 Coefficients are LaurentClass values over one fixed Ring.  Terms are kept up
 to a total degree bound D; multiplication drops anything beyond the bound, so
-the bound is a ring homomorphism from higher truncations.
+the bound is a ring homomorphism from higher truncations.  Sums and products
+run through the ring kernel (poly_add, poly_mul with total = D).
 """
 
 from fractions import Fraction
 
 from .errors import NotExponentiable, RingMismatch
 from .laurent import LaurentClass
-from .ring import as_fraction
+from .ring import as_fraction, poly_add, poly_mul
 
 
 class QSeries:
@@ -57,24 +58,14 @@ class QSeries:
     def degrees(self):
         return sorted(self.terms)
 
-    def _store(self, out, deg, value):
-        if value.is_zero():
-            out.pop(deg, None)
-        else:
-            out[deg] = value
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction, LaurentClass)):
             other = QSeries.constant(self.ring, self.nvars, self.trunc, other)
         if not isinstance(other, QSeries):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            s = out.get(d)
-            s = c if s is None else s + c
-            self._store(out, d, s)
-        return QSeries(self.ring, self.nvars, self.trunc, out)
+        return QSeries(self.ring, self.nvars, self.trunc,
+                       poly_add(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -93,33 +84,17 @@ class QSeries:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentClass)):
-            if isinstance(other, (int, Fraction)):
-                c = as_fraction(other)
-                out = {}
-                for d, v in self.terms.items():
-                    p = v * c
-                    if not p.is_zero():
-                        out[d] = p
-                return QSeries(self.ring, self.nvars, self.trunc, out)
+        if isinstance(other, (int, Fraction)):
+            c = as_fraction(other)
+            out = {d: v * c for d, v in self.terms.items()} if c else {}
+            return QSeries(self.ring, self.nvars, self.trunc, out)
+        if isinstance(other, LaurentClass):
             other = QSeries.constant(self.ring, self.nvars, self.trunc, other)
         if not isinstance(other, QSeries):
             return NotImplemented
         self._check_compatible(other)
-        out = {}
-        for d1, c1 in self.terms.items():
-            t1 = sum(d1)
-            for d2, c2 in other.terms.items():
-                if t1 + sum(d2) > self.trunc:
-                    continue
-                d = tuple(a + b for a, b in zip(d1, d2))
-                p = c1 * c2
-                if p.is_zero():
-                    continue
-                s = out.get(d)
-                s = p if s is None else s + p
-                self._store(out, d, s)
-        return QSeries(self.ring, self.nvars, self.trunc, out)
+        return QSeries(self.ring, self.nvars, self.trunc,
+                       poly_mul(self.terms, other.terms, total=self.trunc))
 
     __rmul__ = __mul__
 

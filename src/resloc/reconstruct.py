@@ -19,6 +19,7 @@ from .fmt import fmt_fraction, fmt_tuple
 from .geometry import integrate
 from .laurent import LaurentClass, neg_part
 from .linalg import ExactSolver
+from .ring import poly_add, poly_mul
 
 
 def _degree_vectors(nvars, trunc):
@@ -173,10 +174,6 @@ def reconstruct_two_point(jfun, d_beta_unit=1):
     return table
 
 
-def two_point_invariant(table, a, b, d):
-    return table.invariant(a, b, d)
-
-
 class QuantumMatrix:
     """Small quantum multiplication by one divisor generator, column by column.
 
@@ -204,19 +201,9 @@ class QuantumMatrix:
         """Multiply a vector of q-polynomials {row: {deg: Fraction}}."""
         out = {}
         for col, poly in vec.items():
-            column = self.entries.get(col, {})
-            for row, entry_poly in column.items():
-                acc = out.setdefault(row, {})
-                for d1, c1 in entry_poly.items():
-                    for d2, c2 in poly.items():
-                        deg = tuple(x + y for x, y in zip(d1, d2))
-                        if sum(deg) > self.trunc:
-                            continue
-                        v = acc.get(deg, Fraction(0)) + c1 * c2
-                        if v:
-                            acc[deg] = v
-                        elif deg in acc:
-                            del acc[deg]
+            for row, entry_poly in self.entries.get(col, {}).items():
+                out[row] = poly_add(out.get(row, {}),
+                                    poly_mul(entry_poly, poly, total=self.trunc))
         return {row: poly for row, poly in out.items() if poly}
 
     def to_json(self):
@@ -266,13 +253,9 @@ def quantum_mult_matrix(table, divisor_index=0):
                 if not val:
                     continue
                 dual = tuple(t - e for t, e in zip(top, b))
-                poly = column.setdefault(dual, {})
-                v = poly.get(d, Fraction(0)) + Fraction(ddiv) * val / norm
-                if v:
-                    poly[d] = v
-                elif d in poly:
-                    del poly[d]
-        entries[a] = {row: poly for row, poly in column.items() if poly}
+                # each (row, degree) pair is met once, so nothing accumulates
+                column.setdefault(dual, {})[d] = Fraction(ddiv) * val / norm
+        entries[a] = column
     return QuantumMatrix(spec, table.trunc, divisor_index, monos, entries)
 
 
@@ -401,9 +384,9 @@ def _solve_dependence(powers, k, deg_slices, nvars):
                 rem = tuple(x - y for x, y in zip(deg, deg1))
                 if any(v < 0 for v in rem):
                     continue
-                for row, poly in powers[j].items():
-                    if rem in poly:
-                        rhs[row] = rhs.get(row, Fraction(0)) - c1 * poly[rem]
+                rhs = poly_add(rhs, {row: -c1 * poly[rem]
+                                     for row, poly in powers[j].items()
+                                     if rem in poly})
         solver = ExactSolver()
         rows = set(rhs)
         for j in range(k):
@@ -415,7 +398,7 @@ def _solve_dependence(powers, k, deg_slices, nvars):
                 c = powers[j].get(row, {}).get(zero)
                 if c:
                     eq[j] = c
-            solver.add_equation(eq, rhs.get(row, Fraction(0)))
+            solver.add_equation(eq, rhs.get(row, 0))
         sol = solver.solution(list(range(k)))
         for j in range(k):
             if sol[j]:

@@ -1,12 +1,20 @@
-"""Truncated polynomial rings Q[v1,...,vk]/(v1^N1,...,vk^Nk) with exact coefficients.
+"""Truncated polynomial rings over Q with exact coefficients, and their kernel.
 
-A Ring records generator names, per-generator truncation orders and an
-integration normalization.  Elements are CohClass values: sparse dictionaries
-mapping exponent tuples to nonzero Fractions.  All arithmetic is exact; there
-is no floating point anywhere in this package.
+A Ring is Q[v1,...,vk]/(v1^N1,...,vk^Nk), optionally also cut at a total
+degree: with total = T every monomial of degree above T is zero.  Either bound
+spans an ideal, so truncating a product gives the same coefficients as
+truncating after an untruncated product.  A Ring records generator names,
+these bounds and an integration normalization.  Elements are CohClass values:
+sparse dictionaries mapping exponent tuples to nonzero Fractions.
+
+poly_add and poly_mul are the one sparse-dictionary arithmetic of the package:
+CohClass, the raw polynomials of sympoly, QSeries and the q-polynomials of
+reconstruct all run through them.  All arithmetic is exact; there is no
+floating point anywhere in this package.
 """
 
 from fractions import Fraction
+from operator import add, lt
 
 from .errors import RingMismatch
 
@@ -19,17 +27,59 @@ def as_fraction(x):
     raise TypeError("expected an int or Fraction, got %r" % (x,))
 
 
+def poly_add(a, b):
+    """Sum of sparse polynomials {exponent: coefficient}.
+
+    Coefficients are anything with + and truthiness (Fractions, CohClass,
+    LaurentClass); sums that come out zero are dropped.
+    """
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e)
+        s = c if s is None else s + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def poly_mul(a, b, truncs=None, total=None):
+    """Product of sparse polynomials {exponent tuple: coefficient}.
+
+    A monomial survives when each exponent is below its entry in truncs and
+    the total degree is at most total; None disables a bound.
+    """
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            if truncs is not None and not all(map(lt, e, truncs)):
+                continue
+            if total is not None and sum(e) > total:
+                continue
+            p = c1 * c2
+            s = out.get(e)
+            s = p if s is None else s + p
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
 class Ring:
     """Descriptor of a truncated polynomial ring over Q.
 
     gens   -- tuple of generator names, e.g. ("H",) or ("z1", "z2")
     truncs -- tuple of truncation orders; generator i satisfies v_i^truncs[i] = 0
     norm   -- Fraction multiplying the top coefficient under integration
+    total  -- None, or a total-degree bound: monomials of degree > total are 0
     """
 
-    __slots__ = ("gens", "truncs", "norm")
+    __slots__ = ("gens", "truncs", "norm", "total")
 
-    def __init__(self, gens, truncs, norm=Fraction(1)):
+    def __init__(self, gens, truncs, norm=Fraction(1), total=None):
         gens = tuple(gens)
         truncs = tuple(int(t) for t in truncs)
         if len(gens) != len(truncs):
@@ -38,9 +88,12 @@ class Ring:
             raise ValueError("generator names must be distinct")
         if any(t < 1 for t in truncs):
             raise ValueError("truncation orders must be >= 1")
+        if total is not None and total < 0:
+            raise ValueError("total-degree bound must be >= 0")
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "truncs", truncs)
         object.__setattr__(self, "norm", as_fraction(norm))
+        object.__setattr__(self, "total", None if total is None else int(total))
 
     def __setattr__(self, name, value):
         raise AttributeError("Ring is immutable")
@@ -49,14 +102,16 @@ class Ring:
         if not isinstance(other, Ring):
             return NotImplemented
         return (self.gens == other.gens and self.truncs == other.truncs
-                and self.norm == other.norm)
+                and self.norm == other.norm and self.total == other.total)
 
     def __hash__(self):
-        return hash((self.gens, self.truncs, self.norm))
+        return hash((self.gens, self.truncs, self.norm, self.total))
 
     def __repr__(self):
-        parts = ", ".join("%s^%d" % (g, t) for g, t in zip(self.gens, self.truncs))
-        return "Ring(Q[%s]/(%s))" % (", ".join(self.gens), parts)
+        parts = ["%s^%d" % (g, t) for g, t in zip(self.gens, self.truncs)]
+        if self.total is not None:
+            parts.append("deg > %d" % self.total)
+        return "Ring(Q[%s]/(%s))" % (", ".join(self.gens), ", ".join(parts))
 
     @property
     def zero_exp(self):
@@ -64,17 +119,19 @@ class Ring:
 
     @property
     def top_exp(self):
-        """Exponent tuple of the top nonzero monomial (each entry trunc - 1)."""
+        """Exponent tuple of the top monomial: trunc - 1 each, total ignored."""
         return tuple(t - 1 for t in self.truncs)
 
     @property
     def nilpotency_bound(self):
         """Smallest B with u^B = 0 for every u lacking a scalar part."""
-        return 1 + sum(t - 1 for t in self.truncs)
+        top = sum(t - 1 for t in self.truncs)
+        return 1 + (top if self.total is None else min(top, self.total))
 
     def admits(self, exps):
         return (len(exps) == len(self.truncs)
-                and all(0 <= e < t for e, t in zip(exps, self.truncs)))
+                and all(0 <= e < t for e, t in zip(exps, self.truncs))
+                and (self.total is None or sum(exps) <= self.total))
 
     def zero(self):
         return CohClass(self, {})
@@ -106,7 +163,8 @@ class CohClass:
     """Element of a Ring: finitely many monomials with Fraction coefficients.
 
     The coefficient dictionary never stores zero values and never stores an
-    exponent at or beyond its generator's truncation order.
+    exponent tuple that its ring does not admit.  A CohClass is false exactly
+    when it is zero.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -117,6 +175,9 @@ class CohClass:
 
     def is_zero(self):
         return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def coeff(self, exps):
         return self.coeffs.get(tuple(exps), Fraction(0))
@@ -134,7 +195,7 @@ class CohClass:
         return None
 
     def _check_ring(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch("cannot combine elements of %r and %r"
                                % (self.ring, other.ring))
 
@@ -144,14 +205,7 @@ class CohClass:
         if not isinstance(other, CohClass):
             return NotImplemented
         self._check_ring(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return CohClass(self.ring, out)
+        return CohClass(self.ring, poly_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -177,19 +231,9 @@ class CohClass:
         if not isinstance(other, CohClass):
             return NotImplemented
         self._check_ring(other)
-        truncs = self.ring.truncs
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if any(x >= t for x, t in zip(e, truncs)):
-                    continue
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return CohClass(self.ring, out)
+        ring = self.ring
+        return CohClass(ring, poly_mul(self.coeffs, other.coeffs,
+                                       ring.truncs, ring.total))
 
     __rmul__ = __mul__
 

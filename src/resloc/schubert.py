@@ -34,10 +34,14 @@ def pv_ring(n):
 
 
 def zeta_ring(m, n):
-    """Ring carrying the relative classes zeta_1..zeta_(m-1)."""
+    """Ring carrying the relative classes zeta_1..zeta_(m-1), cut at |A| <= band.
+
+    Every pushforward pi(zeta^A) with |A| above flag_band vanishes, and total
+    degree above the band is an ideal, so nothing readable is lost.
+    """
     band = flag_band(m, n)
     gens = tuple("z%d" % s for s in range(1, m))
-    return Ring(gens, (band + 1,) * (m - 1), Fraction(1))
+    return Ring(gens, (band + 1,) * (m - 1), Fraction(1), total=band)
 
 
 def combined_ring(m, n):

@@ -12,14 +12,12 @@ from fractions import Fraction
 
 from .errors import InexactDivision, NotSymmetric
 from .laurent import LaurentClass
-from .ring import as_fraction
+from .ring import as_fraction, poly_add, poly_mul
 
 # ---------------------------------------------------------------------------
-# raw polynomial dictionaries {exponent tuple: Fraction}; no symmetry implied
+# raw polynomial dictionaries {exponent tuple: Fraction}; no symmetry implied;
+# sums and products go through the ring kernel's poly_add and poly_mul
 
-
-def p_zero():
-    return {}
 
 def p_const(m, c):
     c = as_fraction(c)
@@ -31,21 +29,11 @@ def p_var(m, i):
     e[i] = 1
     return {tuple(e): Fraction(1)}
 
-def p_add(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, Fraction(0)) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
 def p_neg(a):
     return {e: -c for e, c in a.items()}
 
 def p_sub(a, b):
-    return p_add(a, p_neg(b))
+    return poly_add(a, p_neg(b))
 
 def p_scale(a, r):
     r = as_fraction(r)
@@ -54,16 +42,8 @@ def p_scale(a, r):
     return {e: c * r for e, c in a.items()}
 
 def p_mul(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            s = out.get(e, Fraction(0)) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    return out
+    # its own function, not an alias, so profilers can count symmetric products
+    return poly_mul(a, b)
 
 def p_pow(a, k, m):
     out = p_const(m, 1)
@@ -77,12 +57,13 @@ def complete_homogeneous(m, k):
     if k < 0:
         return {}
     out = {}
+    # each multiset of variables is one monomial, met exactly once
     for bars in itertools.combinations_with_replacement(range(m), k):
         e = [0] * m
         for i in bars:
             e[i] += 1
-        out[tuple(e)] = out.get(tuple(e), Fraction(0)) + 1
-    return {e: c for e, c in out.items() if c}
+        out[tuple(e)] = Fraction(1)
+    return out
 
 
 def schur_poly(m, partition):
@@ -106,7 +87,7 @@ def schur_poly(m, partition):
             prod = p_mul(prod, complete_homogeneous(m, lam[i] - i + sigma[i]))
             if not prod:
                 break
-        out = p_add(out, p_scale(prod, sign))
+        out = poly_add(out, p_scale(prod, sign))
     return out
 
 
@@ -185,7 +166,7 @@ class SymPoly:
     def __add__(self, other):
         if not isinstance(other, SymPoly) or other.m != self.m:
             return NotImplemented
-        return SymPoly(self.m, p_add(self.coeffs, other.coeffs))
+        return SymPoly(self.m, poly_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         if not isinstance(other, SymPoly) or other.m != self.m:
@@ -262,18 +243,18 @@ def sym_power_top_chern(l):
         raise ValueError("symmetric power degree must be >= 1")
     out = p_const(2, 1)
     for i in range(l + 1):
-        factor = p_add(p_scale(p_var(2, 0), i), p_scale(p_var(2, 1), l - i))
+        factor = poly_add(p_scale(p_var(2, 0), i), p_scale(p_var(2, 1), l - i))
         out = p_mul(out, factor)
     return SymPoly(2, out)
 
 
 def _alternant(m, mu):
-    """Alternating sum of sign(sigma) * q^(sigma applied to mu)."""
-    out = {}
-    for sigma in itertools.permutations(range(m)):
-        e = tuple(mu[sigma[i]] for i in range(m))
-        out[e] = out.get(e, Fraction(0)) + _perm_sign(sigma)
-    return {e: c for e, c in out.items() if c}
+    """Alternating sum of sign(sigma) * q^(sigma applied to mu).
+
+    mu has distinct entries, so every permutation gives its own monomial.
+    """
+    return {tuple(mu[sigma[i]] for i in range(m)): Fraction(_perm_sign(sigma))
+            for sigma in itertools.permutations(range(m))}
 
 
 def schur_expand(tau):
@@ -298,10 +279,11 @@ def schur_expand(tau):
                 "decreasing" % (lead,))
         lam = tuple(lead[i] - delta[i] for i in range(m))
         c = work[lead]
-        key = tuple(a for a in lam if a > 0)
-        out[key] = out.get(key, Fraction(0)) + c
+        # subtracting c * a_lead removes lead and adds only smaller terms, so
+        # leads strictly decrease and each partition is met once
+        out[tuple(a for a in lam if a > 0)] = c
         work = p_sub(work, p_scale(_alternant(m, lead), c))
-    return {k: v for k, v in out.items() if v}
+    return out
 
 
 def schur_integral_oracle(m, n, tau):

@@ -7,7 +7,8 @@ symmetry, so a lopsided expression fails with a witness transposition.
 """
 
 from .errors import TauSyntaxError
-from .sympoly import (SymPoly, p_add, p_const, p_mul, p_pow, p_sub, p_var,
+from .ring import poly_add
+from .sympoly import (SymPoly, p_const, p_mul, p_neg, p_pow, p_sub, p_var,
                       schur_poly, sym_power_top_chern)
 
 _OPS = "+-*^(),"
@@ -68,13 +69,13 @@ class _Parser:
     def parse_expr(self):
         if self.peek()[0] == "-":
             self.advance()
-            out = p_sub(p_const(self.m, 0), self.parse_term())
+            out = p_neg(self.parse_term())
         else:
             out = self.parse_term()
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
             rhs = self.parse_term()
-            out = p_add(out, rhs) if op == "+" else p_sub(out, rhs)
+            out = poly_add(out, rhs) if op == "+" else p_sub(out, rhs)
         return out
 
     def parse_term(self):

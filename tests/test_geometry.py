@@ -1,11 +1,10 @@
-from fractions import Fraction
-
 import pytest
 
 from resloc.errors import RingMismatch
-from resloc.geometry import (RingSpec, integrate, laurent_from_fraction_dict,
-                             pushforward_hypersurface,
+from resloc.fmt import laurent_from_json
+from resloc.geometry import (RingSpec, integrate, pushforward_hypersurface,
                              pushforward_hypersurface_laurent)
+from resloc.jfun import j_product, j_projective
 from resloc.laurent import LaurentClass
 
 
@@ -103,12 +102,15 @@ def test_pushforward_laurent():
 
 
 def test_embed_product():
-    p1 = RingSpec.projective(1)
-    spec = RingSpec.product([p1, p1])
-    c = spec.embed(1, p1.ring.generator("H"))
-    assert c == spec.ring.monomial((0, 1), 1)
-    lc = spec.embed_laurent(0, LaurentClass(p1.ring, {-1: p1.ring.generator("H")}))
-    assert lc.coeff((1, 0), -1) == 1
+    # j_product places each factor's classes at its generator offset:
+    # F_1 of P^1 is t^-2 - 2H t^-3, F_1 of P^2 is t^-3 - 3H t^-4 + 6H^2 t^-5
+    jj = j_product(j_projective(1, 1), j_projective(2, 1))
+    ring = jj.ring_spec.ring
+    assert jj.coefficient((1, 0)) == LaurentClass(ring, {
+        -2: ring.one(), -3: ring.monomial((1, 0), -2)})
+    assert jj.coefficient((0, 1)) == LaurentClass(ring, {
+        -3: ring.one(), -4: ring.monomial((0, 1), -3),
+        -5: ring.monomial((0, 2), 6)})
 
 
 def test_json_round_trip():
@@ -121,10 +123,11 @@ def test_json_round_trip():
 
 
 def test_laurent_from_fraction_dict():
+    # the JSON reader drops explicit zero coefficients and keeps the rest
     spec = RingSpec.projective(1)
-    lc = laurent_from_fraction_dict(spec.ring,
-                                    {-2: {(0,): Fraction(1)},
-                                     -3: {(1,): Fraction(-2), (0,): Fraction(0)}})
+    lc = laurent_from_json(spec.ring,
+                           {"-2": {"0": "1"}, "-3": {"1": "-2", "0": "0"}})
     assert lc.coeff((0,), -2) == 1
     assert lc.coeff((1,), -3) == -2
     assert lc.coefficient(-3).coeff((0,)) == 0
+    assert lc.terms[-3].coeffs == {(1,): -2}

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resloc.errors import NotInvertible, RingMismatch
-from resloc.laurent import (LaurentClass, coeff, invert_linear_power,
+from resloc.laurent import (LaurentClass, invert_linear_power,
                             laurent_invert, neg_part, pos_part)
 from resloc.ring import CohClass, Ring
 
@@ -60,7 +60,7 @@ def test_neg_pos_parts():
     assert neg_part(e) == t(-2)
     assert pos_part(e) == H() + t(3)
     assert neg_part(e) + pos_part(e) == e
-    assert coeff(e, (0,), -2) == 1
+    assert e.coeff((0,), -2) == 1
 
 
 def test_invert_hand_value():

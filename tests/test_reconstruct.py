@@ -1,8 +1,10 @@
 """Two-point reconstruction, quantum matrices and ring relations.
 
-Hypersurface invariants are pinned against the multiple-cover sums
-N_d = sum_(e|d) n_(d/e) e^-3 with instanton numbers n_1 = 2875,
-n_2 = 609250, n_3 = 317206375, via <H,H>_d = d^2 N_d.
+Quintic invariants are pinned against the multiple-cover sums
+<H,H>_d = d^2 * sum_(k|d) n_(d/k) k^-3 with the instanton numbers n_d of
+Candelas, de la Ossa, Green and Parkes (1991).  Degree-one invariants of
+hypersurfaces are pinned against Schubert integrals over G(2, n+1) and the
+line counts of Ellingsrud and Stromme (1996).
 """
 
 from fractions import Fraction
@@ -15,13 +17,21 @@ from resloc.jfun import (i_function, j_product, j_projective,
                          mirror_normalize, pull_to_hypersurface)
 from resloc.laurent import LaurentClass
 from resloc.reconstruct import (QuantumMatrix, Relation, qh_relation,
-                                quantum_mult_matrix, reconstruct_two_point,
-                                two_point_invariant)
+                                quantum_mult_matrix, reconstruct_two_point)
+from resloc.schubert import grassmann_integral_residue
+from resloc.sympoly import SymPoly, sym_power_top_chern
+
+# rational curves of degree d on the quintic threefold, d = 1..5
+QUINTIC_N = (2875, 609250, 317206375, 242467530000, 229305888887625)
+
+
+def hypersurface_table(n, l, trunc):
+    md = mirror_normalize(i_function(n, l, trunc))
+    return reconstruct_two_point(pull_to_hypersurface(md.pushed, l))
 
 
 def quintic_table(trunc):
-    md = mirror_normalize(i_function(4, 5, trunc))
-    return reconstruct_two_point(pull_to_hypersurface(md.pushed, 5))
+    return hypersurface_table(4, 5, trunc)
 
 
 def p1xp1_table(trunc):
@@ -108,15 +118,47 @@ def test_p2_point_pair():
     # one line passes through two generic points
     table = reconstruct_two_point(j_projective(2, 2))
     assert table.invariant((2,), (2,), (1,)) == 1
-    assert two_point_invariant(table, (2,), (2,), (1,)) == 1
     assert table.invariant((1,), (2,), (1,)) == 0
 
 
 def test_quintic_invariants():
-    table = quintic_table(3)
-    assert table.invariant((1,), (1,), (1,)) == 2875
-    assert table.invariant((1,), (1,), (2,)) == Fraction(4876875, 2)
-    assert table.invariant((1,), (1,), (3,)) == Fraction(8564575000, 3)
+    table = quintic_table(5)
+    for d in range(1, 6):
+        expected = d * d * sum(Fraction(QUINTIC_N[d // k - 1], k ** 3)
+                               for k in range(1, d + 1) if d % k == 0)
+        assert table.invariant((1,), (1,), (d,)) == expected, d
+
+
+# lines on hypersurfaces: <H^a, H^b>_1 for the cubic surface, cubic
+# threefold, quartic threefold and quintic threefold
+LINE_COUNTS = {(3, 3): {(1, 1): 27},
+               (4, 3): {(1, 3): 18, (2, 2): 45, (3, 1): 18},
+               (4, 4): {(1, 2): 320, (2, 1): 320},
+               (4, 5): {(1, 1): 2875}}
+
+
+@pytest.mark.parametrize("n,l", [(3, 3), (4, 3), (4, 4), (4, 5), (5, 4),
+                                 (5, 5)])
+def test_line_counts_match_schubert(n, l):
+    # <H^a, H^b>_1 counts lines in the hypersurface meeting two general
+    # linear sections; such lines are the zeros of c_top(Sym^l S*) on
+    # G(2, n+1), and meeting H^a imposes the Schubert class sigma_(a-1)
+    table = hypersurface_table(n, l, 2)
+    spec = table.ring_spec
+    found = {}
+    for a in spec.monomials():
+        for b in spec.monomials():
+            v = table.invariant(a, b, (1,))
+            if v:
+                found[a[0], b[0]] = v
+    assert found
+    for (a, b), v in found.items():
+        assert a >= 1 and b >= 1
+        tau = (sym_power_top_chern(l) * SymPoly.from_schur(2, (a - 1,))
+               * SymPoly.from_schur(2, (b - 1,)))
+        assert v == grassmann_integral_residue(n + 1, tau), (a, b)
+    if (n, l) in LINE_COUNTS:
+        assert found == LINE_COUNTS[n, l]
 
 
 def test_quintic_relation():

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resloc.errors import RingMismatch
-from resloc.ring import CohClass, Ring, as_fraction
+from resloc.laurent import LaurentClass, laurent_invert
+from resloc.ring import CohClass, Ring, as_fraction, poly_add, poly_mul
+from resloc.schubert import flag_band, flag_fixed_locus_euler, zeta_ring
 
 R1 = Ring(("H",), (3,))
 R2 = Ring(("h", "z"), (4, 3))
@@ -137,3 +139,88 @@ def test_quotient_consistency(a, b):
             if all(v >= 0 for v in e2):
                 total += c1 * b.coeff(e2)
         assert prod.coeff(exps) == total
+
+
+polys = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                        coeff_st.filter(bool), max_size=5)
+bounds = st.one_of(st.none(), st.tuples(st.integers(1, 6), st.integers(1, 6)))
+totals = st.one_of(st.none(), st.integers(0, 8))
+
+
+def within(p, truncs, total):
+    return {e: c for e, c in p.items()
+            if (truncs is None or all(x < t for x, t in zip(e, truncs)))
+            and (total is None or sum(e) <= total)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys, polys, polys, bounds, totals)
+def test_poly_mul_truncation(a, b, c, truncs, total):
+    full = poly_mul(a, b)
+    assert poly_mul(a, b, truncs, total) == within(full, truncs, total)
+    assert poly_mul(a, b, truncs, total) == poly_mul(b, a, truncs, total)
+    left = poly_mul(poly_mul(a, b, truncs, total), c, truncs, total)
+    right = poly_mul(a, poly_mul(b, c, truncs, total), truncs, total)
+    assert left == right == within(poly_mul(full, c), truncs, total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys)
+def test_poly_add_drops_zeros(a, b):
+    s = poly_add(a, b)
+    assert all(s.values())
+    assert poly_add(s, {e: -v for e, v in b.items()}) == a
+    assert poly_add(a, {e: -v for e, v in a.items()}) == {}
+
+
+def test_total_degree_ring():
+    r = Ring(("x", "y"), (4, 4), total=3)
+    assert r.admits((3, 0)) and r.admits((1, 2))
+    assert not r.admits((2, 2))
+    assert r.monomial((2, 2)).is_zero()
+    assert r.monomial((1, 2), 5).coeff((1, 2)) == 5
+    # without the bound the top monomial x^3 y^3 survives
+    assert Ring(("x", "y"), (4, 4)).nilpotency_bound == 7
+    assert r.nilpotency_bound == 4
+    u = r.generator("x") + r.generator("y")
+    assert not (u ** 3).is_zero() and (u ** 4).is_zero()
+    assert r == Ring(("x", "y"), (4, 4), total=3)
+    assert hash(r) == hash(Ring(("x", "y"), (4, 4), total=3))
+    assert r != Ring(("x", "y"), (4, 4))
+    assert r != Ring(("x", "y"), (4, 4), total=4)
+    assert "deg > 3" in repr(r)
+    with pytest.raises(RingMismatch):
+        r.generator("x") + Ring(("x", "y"), (4, 4)).generator("x")
+    with pytest.raises(ValueError):
+        Ring(("x",), (2,), total=-1)
+
+
+def test_bool_is_nonzero():
+    assert not R1.zero() and R1.one() and R1.generator("H")
+    h = R1.generator("H")
+    assert not (h * h * h)
+    assert not LaurentClass.zero(R1)
+    assert LaurentClass.one(R1)
+    assert not LaurentClass.from_coh(h) - LaurentClass.from_coh(h)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_zeta_ring_total_bound_keeps_band(n):
+    # inverting over the total-degree ring gives the per-generator ring's
+    # inverse restricted to |A| <= band
+    m = 3
+    band = flag_band(m, n)
+    ring = zeta_ring(m, n)
+    assert ring.total == band
+    wide = Ring(ring.gens, ring.truncs, ring.norm)
+    for perm in [(1, 2, 3), (2, 3, 1), (3, 1, 2)]:
+        euler = flag_fixed_locus_euler(perm, (4, -1, 7), n)
+        widened = euler.map_coefficients(
+            lambda c: CohClass(wide, dict(c.coeffs)), wide)
+        cut = {}
+        for j, c in laurent_invert(widened).terms.items():
+            kept = {a: v for a, v in c.coeffs.items() if sum(a) <= band}
+            if kept:
+                cut[j] = kept
+        got = laurent_invert(euler)
+        assert {j: c.coeffs for j, c in got.terms.items()} == cut
