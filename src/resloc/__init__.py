@@ -14,7 +14,7 @@ from .geometry import (RingSpec, integrate, pushforward_hypersurface,
 from .jfun import (IFunction, JFunction, MirrorData, i_function, j_product,
                    j_projective, mirror_normalize, pull_to_hypersurface)
 from .laurent import LaurentClass, laurent_invert, neg_part, pos_part
-from .linalg import ExactSolver, solve_unique
+from .linalg import ExactSolver
 from .qseries import QSeries, qs_compose, qs_exp
 from .reconstruct import (QuantumMatrix, Relation, TwoPointTable, qh_relation,
                           quantum_mult_matrix, reconstruct_two_point)
@@ -73,7 +73,6 @@ __all__ = [
     "reconstruct_two_point",
     "schur_expand",
     "schur_integral_oracle",
-    "solve_unique",
     "sym_power_top_chern",
     "verify_euler_pushforward_identity",
     "verify_grassmann_pushforward",

@@ -34,10 +34,6 @@ class NotSymmetric(ReslocError):
         self.witness = witness
 
 
-class InexactDivision(ReslocError):
-    """Division inside an exact elimination step left a remainder."""
-
-
 class RankDeficient(ReslocError):
     """Linear system does not determine every unknown."""
 

@@ -1,10 +1,13 @@
 """Exact sparse linear solving over Q.
 
-Rows arrive as {unknown: Fraction} dictionaries with a Fraction right-hand
-side.  Elimination is Gauss-Jordan with exact rational arithmetic: no pivot
-thresholds exist because nothing is ever rounded.  Unknown keys can be any
-sortable hashable values; pivots are chosen deterministically (smallest key)
-so repeated runs produce identical eliminations.
+Rows arrive as {unknown: Fraction} dictionaries.  A right-hand side is a
+Fraction or an element of any Q-vector space with +, -, multiplication and
+division by a Fraction, and truthiness (such as a CohClass): one reduction of
+the row then solves every component at once.  Elimination is Gauss-Jordan
+with exact rational arithmetic: no pivot thresholds exist because nothing is
+ever rounded.  Unknown keys can be any sortable hashable values; pivots are
+chosen deterministically (smallest key) so repeated runs produce identical
+eliminations.
 """
 
 from fractions import Fraction
@@ -20,9 +23,12 @@ class ExactSolver:
         self.pivots = {}
 
     def add_equation(self, row, rhs):
-        """Insert one equation sum(row[v] * x_v) = rhs, reducing immediately."""
+        """Insert one equation sum(row[v] * x_v) = rhs, reducing immediately.
+
+        rhs is a scalar or a vector (see the module docstring); solution()
+        returns values of the same kind.
+        """
         row = {v: c for v, c in row.items() if c != 0}
-        rhs = Fraction(rhs)
         # reduce against existing pivot rows
         for v in sorted(v for v in row if v in self.pivots):
             c = row.pop(v)
@@ -35,7 +41,7 @@ class ExactSolver:
                     row.pop(u, None)
             rhs -= c * prhs
         if not row:
-            if rhs != 0:
+            if rhs:
                 raise Inconsistent("equation reduced to 0 = %s" % rhs)
             return
         pivot = min(row)
@@ -79,10 +85,3 @@ class ExactSolver:
             out[v] = rhs
         return out
 
-
-def solve_unique(rows, unknowns):
-    """Solve a list of (row, rhs) pairs for the given unknowns, uniquely."""
-    solver = ExactSolver()
-    for row, rhs in rows:
-        solver.add_equation(row, rhs)
-    return solver.solution(unknowns)

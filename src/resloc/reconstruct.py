@@ -329,16 +329,6 @@ class Relation:
         return {"power": self.k, "coefficients": coeffs, "text": str(self)}
 
 
-def _poly_vec_degree_part(vec, m):
-    """Extract the q-degree-m slice of {row: {deg: Fraction}} as {row: {deg: c}}."""
-    out = {}
-    for row, poly in vec.items():
-        for deg, c in poly.items():
-            if sum(deg) == m:
-                out.setdefault(row, {})[deg] = c
-    return out
-
-
 def qh_relation(matrix):
     """First linear dependence among iterated quantum powers of the divisor.
 
@@ -346,7 +336,10 @@ def qh_relation(matrix):
     solves v_k = sum_(j<k) c_j(q) v_j one q-degree at a time against the
     classical parts of the earlier powers (full rank below the classical
     vanishing order).  Polynomial coefficients come out of the solve; failure
-    through dim + 1 raises NoRelationFound.
+    through dim + 1 raises NoRelationFound.  So does a relation of degree k
+    whose coefficients could reach past the truncation: q_i has degree
+    c1_degrees[i] >= r, so the coefficient of H^j carries q-degree at most
+    (k - j) / r, and the relation is complete only when k // r <= trunc.
     """
     spec = matrix.ring_spec
     nvars = spec.nvars
@@ -363,6 +356,12 @@ def qh_relation(matrix):
             coeffs = _solve_dependence(powers, k, deg_slices, nvars)
         except (Inconsistent, RankDeficient):
             continue
+        r = min(spec.c1_degrees)
+        if r > 0 and k // r > trunc:
+            raise NoRelationFound(
+                "the degree-%d relation can carry q-degree up to %d, past the "
+                "truncation at %d; it needs --max-degree %d"
+                % (k, k // r, trunc, k // r))
         return Relation(spec, matrix.divisor_index, k, coeffs)
     raise NoRelationFound("no dependence among the first %d quantum powers"
                           % (dim + 2))

@@ -304,10 +304,12 @@ def flag_pushforward_extract(m, n, weight_samples=None):
     For each weight sample and each choice of distinguished index i, the sum
     of inverse Euler classes over the (m-1)! fixed loci with i_1 = i must push
     forward to the product of inverse Euler factors of the i-th fixed point in
-    P(V).  Expanding both sides in h^b t^j gives exact linear equations for
-    the unknown coefficients of pi(zeta^A); the system is solved by exact
-    Gauss-Jordan elimination.  Raises RankDeficient when the samples do not
-    determine the table and Inconsistent when they contradict each other.
+    P(V).  Matching coefficients of t^j gives one exact linear equation per
+    (sample, i, j) in the unknowns pi(zeta^A), with its right-hand side in
+    Q[h]/(h^n).  Each t^j involves only the A of one level |A|, so exact
+    Gauss-Jordan elimination keeps the levels apart.  Raises RankDeficient
+    when the samples do not determine the table and Inconsistent when they
+    contradict each other.
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -319,8 +321,6 @@ def flag_pushforward_extract(m, n, weight_samples=None):
     if not samples:
         raise ValueError("at least one weight sample is required")
 
-    exponents = _zeta_exponents(m, n)
-    unknowns = [(a_exps, b) for a_exps in exponents for b in range(n)]
     solver = ExactSolver()
     perms = list(itertools.permutations(range(1, m + 1)))
     ring = pv_ring(n)
@@ -336,22 +336,9 @@ def flag_pushforward_extract(m, n, weight_samples=None):
                 if s != i - 1:
                     rhs = rhs * invert_linear_power(wv[s] - wv[i - 1], h, n)
             for j in sorted(set(lhs.terms) | set(rhs.terms)):
-                lc = lhs.coefficient(j)
-                rc = rhs.coefficient(j)
-                for b in range(n):
-                    row = {(a_exps, b): r for a_exps, r in lc.coeffs.items()}
-                    solver.add_equation(row, rc.coeff((b,)))
-    values = solver.solution(unknowns)
-
-    entries = {}
-    for a_exps in exponents:
-        coeffs = {}
-        for b in range(n):
-            v = values[(a_exps, b)]
-            if v:
-                coeffs[(b,)] = v
-        entries[a_exps] = CohClass(ring, coeffs)
-    return ZetaTable(m, n, entries)
+                solver.add_equation(lhs.coefficient(j).coeffs,
+                                    rhs.coefficient(j))
+    return ZetaTable(m, n, solver.solution(_zeta_exponents(m, n)))
 
 
 def verify_euler_pushforward_identity(m, n, ztable, w):

@@ -2,15 +2,17 @@
 
 SymPoly validates symmetry on construction (adjacent transpositions suffice)
 and reports a witness transposition when the check fails.  The module also
-provides Schur polynomials, Schur expansion by alternant peeling, and the top
-Chern class of the symmetric power of the tautological rank-2 bundle, which
-together form the classical oracle for Grassmannian integrals.
+provides Schur polynomials, Schur expansion through the Vandermonde
+alternant, and the top Chern class of the symmetric power of the tautological
+rank-2 bundle, which together form the classical oracle for Grassmannian
+integrals.
 """
 
 import itertools
 from fractions import Fraction
+from operator import add
 
-from .errors import InexactDivision, NotSymmetric
+from .errors import NotSymmetric
 from .laurent import LaurentClass
 from .ring import as_fraction, poly_add, poly_mul
 
@@ -260,30 +262,24 @@ def _alternant(m, mu):
 def schur_expand(tau):
     """Expand a symmetric polynomial in the Schur basis.
 
-    Multiplies by the Vandermonde alternant and peels leading terms: the lex
-    largest monomial of an alternating polynomial has strictly decreasing
-    exponents, which identifies one Schur component; subtract and repeat.
-    Returns {partition: Fraction} with trailing zeros stripped from keys.
-    InexactDivision signals a leading term that is not strictly decreasing,
-    which cannot happen for genuinely symmetric input.
+    tau * a_delta = sum c_lambda * a_(lambda+delta) for the alternants a_mu,
+    and q^(lambda+delta) is the only monomial of a_(lambda+delta) with
+    strictly decreasing exponents.  So c_lambda is the coefficient of
+    q^(lambda+delta) in tau * a_delta, and only the term pairs that land on
+    strictly decreasing exponents are formed.  Returns {partition: Fraction}
+    with trailing zeros stripped from keys.
     """
     m = tau.m
     delta = tuple(range(m - 1, -1, -1))
-    work = p_mul(tau.coeffs, _alternant(m, delta))
+    alternant = _alternant(m, delta).items()
     out = {}
-    while work:
-        lead = max(work)
-        if any(lead[i] <= lead[i + 1] for i in range(m - 1)):
-            raise InexactDivision(
-                "leading term %r of the alternant product is not strictly "
-                "decreasing" % (lead,))
-        lam = tuple(lead[i] - delta[i] for i in range(m))
-        c = work[lead]
-        # subtracting c * a_lead removes lead and adds only smaller terms, so
-        # leads strictly decrease and each partition is met once
-        out[tuple(a for a in lam if a > 0)] = c
-        work = p_sub(work, p_scale(_alternant(m, lead), c))
-    return out
+    for e, c in tau.coeffs.items():
+        for d, sign in alternant:
+            mu = tuple(map(add, e, d))
+            if all(mu[i] > mu[i + 1] for i in range(m - 1)):
+                lam = tuple(x - y for x, y in zip(mu, delta) if x > y)
+                out[lam] = out.get(lam, 0) + c * sign
+    return {lam: c for lam, c in out.items() if c}
 
 
 def schur_integral_oracle(m, n, tau):

@@ -5,6 +5,7 @@ captured exactly as a shell user would see them.
 """
 
 import json
+from math import comb
 
 import pytest
 
@@ -68,6 +69,26 @@ def test_qh_single_divisor(capsys):
                                    "--max-degree", "2", "--divisor", "1"])
     assert code == 0
     assert out == "H2^2 - q2\n"
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_qh_below_grading_bound_exits_3(capsys, d):
+    # the cubic surface has c1 = H, so its degree-3 relation can reach q^3
+    code, out, err = invoke(capsys, ["qh", "--target", "hypersurface",
+                                     "--n", "3", "--l", "3",
+                                     "--max-degree", str(d)])
+    assert (code, out) == (3, "")
+    assert "NoRelationFound" in err and "--max-degree 3" in err
+
+
+def test_qh_cubic_surface_matches_givental(capsys):
+    # Givental: (H + 6q)^3 - 27q(H + 6q)^2 = H^3 - sum_j a_j q^(3-j) H^j
+    a = {j: -(comb(3, j) * 6 ** (3 - j) - 27 * comb(2, j) * 6 ** (2 - j))
+         for j in range(3)}
+    text = "H^3 - %d*q*H^2 - %d*q^2*H - %d*q^3" % (a[2], a[1], a[0])
+    code, out, _ = invoke(capsys, ["qh", "--target", "hypersurface",
+                                   "--n", "3", "--l", "3", "--max-degree", "3"])
+    assert (code, out) == (0, text + "\n")
 
 
 def test_jfun_json_golden(capsys):

@@ -2,13 +2,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resloc.errors import Inconsistent, RankDeficient
-from resloc.linalg import ExactSolver, solve_unique
+from resloc.linalg import ExactSolver
+from resloc.ring import CohClass, Ring
+
+
+def solve(rows, unknowns):
+    solver = ExactSolver()
+    for row, rhs in rows:
+        solver.add_equation(row, rhs)
+    return solver.solution(unknowns)
 
 
 def test_small_system():
-    sol = solve_unique(
+    sol = solve(
         [({"x": Fraction(2), "y": Fraction(1)}, Fraction(5)),
          ({"x": Fraction(1), "y": Fraction(-1)}, Fraction(1))],
         ["x", "y"])
@@ -54,7 +64,7 @@ def test_partial_solution_allowed():
 
 def test_exactness_no_drift():
     # a system whose float solution would show rounding: exact answer required
-    sol = solve_unique(
+    sol = solve(
         [({0: Fraction(1, 3), 1: Fraction(1, 7)}, Fraction(1)),
          ({0: Fraction(1, 11), 1: Fraction(1, 13)}, Fraction(1))],
         [0, 1])
@@ -78,12 +88,66 @@ def test_randomized_round_trip():
         for i in range(n):
             unit = {i: Fraction(1)}
             rows.append((unit, target[i]))
-        assert solve_unique(rows, list(range(n))) == target
+        assert solve(rows, list(range(n))) == target
 
 
 def test_deterministic_pivot_order():
     rows = [({"b": Fraction(1), "a": Fraction(1)}, Fraction(2)),
             ({"a": Fraction(1)}, Fraction(1))]
-    s1 = solve_unique(list(rows), ["a", "b"])
-    s2 = solve_unique(list(rows), ["a", "b"])
+    s1 = solve(list(rows), ["a", "b"])
+    s2 = solve(list(rows), ["a", "b"])
     assert s1 == s2 == {"a": Fraction(1), "b": Fraction(1)}
+
+
+H4 = Ring(("h",), (4,))
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+h4_classes = st.lists(small_fractions, min_size=4, max_size=4).map(
+    lambda cs: CohClass(H4, {(b,): c for b, c in enumerate(cs) if c}))
+
+
+@st.composite
+def invertible_systems(draw):
+    """Rows of L*U (unit lower L, upper U with nonzero diagonal), CohClass rhs."""
+    n = draw(st.integers(1, 4))
+    ints = st.integers(-4, 4)
+    lower = [[1 if i == j else draw(ints) if j < i else 0 for j in range(n)]
+             for i in range(n)]
+    upper = [[draw(ints.filter(bool)) if i == j else draw(ints) if j > i else 0
+              for j in range(n)] for i in range(n)]
+    rows = [{j: Fraction(sum(lower[i][k] * upper[k][j] for k in range(n)))
+             for j in range(n)} for i in range(n)]
+    return rows, [draw(h4_classes) for _ in range(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(invertible_systems())
+def test_vector_rhs_matches_scalar_solves(system):
+    rows, rhs = system
+    n = len(rows)
+    got = solve(list(zip(rows, rhs)), range(n))
+    for b in range(4):
+        scalar = solve([(row, r.coeff((b,))) for row, r in zip(rows, rhs)],
+                       range(n))
+        assert all(got[v].coeff((b,)) == scalar[v] for v in range(n))
+    # the solution satisfies every row as an identity in Q[h]/(h^4)
+    for row, r in zip(rows, rhs):
+        assert sum((got[v] * c for v, c in row.items()), H4.zero()) == r
+
+
+@settings(max_examples=40, deadline=None)
+@given(invertible_systems(), st.data())
+def test_vector_rhs_redundant_row_off_in_one_coefficient(system, data):
+    rows, rhs = system
+    n = len(rows)
+    weights = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    combo = {v: sum(w * row[v] for w, row in zip(weights, rows))
+             for v in range(n)}
+    combo_rhs = sum((r * w for w, r in zip(weights, rhs)), H4.zero())
+    solver = ExactSolver()
+    for row, r in zip(rows, rhs):
+        solver.add_equation(row, r)
+    solver.add_equation(combo, combo_rhs)  # redundant and consistent
+    b = data.draw(st.integers(0, 3))
+    off = data.draw(small_fractions.filter(bool))
+    with pytest.raises(Inconsistent):
+        solver.add_equation(combo, combo_rhs + H4.monomial((b,), off))

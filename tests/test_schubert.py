@@ -71,7 +71,8 @@ def test_closed_form_m2():
     assert closed_form_m2(3, 3) == ring.monomial((2,), 6)
 
 
-@pytest.mark.parametrize("m,n", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5)])
+@pytest.mark.parametrize("m,n", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5),
+                                 (3, 6), (3, 7), (4, 5)])
 def test_extraction_and_identity(m, n):
     ztable = flag_pushforward_extract(m, n)
     # formula-level equality at a fresh weight vector
