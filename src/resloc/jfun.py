@@ -281,11 +281,21 @@ def mirror_normalize(i_fun):
         Jhat = exp(b(q) + (c(q) + H*a(q))/t) * I(q*exp(a(q)))
 
     has, in every q-degree d >= 1, zero coefficient on H t^0, H t^-1 and
-    H^2 t^-1.  Each condition responds diagonally through I_0 = lH, so the
-    per-order solve divides by l; a zero l would make it singular.  After the
-    last order the full normalization is verified: the d = 0 term must be
-    exactly lH and all d >= 1 terms must have t-exponents <= -2, otherwise
-    NormalizationFailed reports the surviving term.
+    H^2 t^-1.  The solve is one online pass that extends every series it
+    needs by one q-order per step: with E = b + (c + H*a)/t, the prefactor
+    P = exp(E) follows from q dP/dq = P * q dE/dq, that is
+    P_d = (1/d) sum_k k E_k P_(d-k), and likewise each exp(k*a) from k*a.
+    The substituted series S_d = sum_k I_k [q^(d-k)] exp(k*a) is final once
+    formed, since a_d never enters it.  With a_d = b_d = c_d = 0 the q^d
+    coefficient of Jhat is f_d = sum_m P_m S_(d-m); each condition responds
+    diagonally through S_0 = I_0 = lH, so the per-order solve divides by l,
+    and a zero l would make it singular.
+
+    After the last order Jhat is rebuilt once in full from the series a, b,
+    c, independently of the online pass, and the normalization is verified:
+    the d = 0 term must be exactly lH and all d >= 1 terms must have
+    t-exponents <= -2, otherwise NormalizationFailed reports the surviving
+    term.
     """
     spec = i_fun.ring_spec
     ring = spec.ring
@@ -294,27 +304,43 @@ def mirror_normalize(i_fun):
     trunc = i_fun.trunc
     if l == 0:
         raise DegenerateSystem("correction response is l = 0")
-    i_series = i_fun.series()
-    a = QSeries.zero(ring, 1, trunc)
-    b = QSeries.zero(ring, 1, trunc)
-    c = QSeries.zero(ring, 1, trunc)
     inv_l = Fraction(1, l)
+    h_over_t = LaurentClass.from_coh(ring.generator("H"), -1)
+    zero = LaurentClass.zero(ring)
+    i_coeffs = [i_fun.coefficient(d) for d in range(trunc + 1)]
+    a, b, c = [Fraction(0)], [Fraction(0)], [Fraction(0)]
+    weighted = [zero]                   # k * E_k
+    prefactor = [LaurentClass.one(ring)]
+    substituted = [i_coeffs[0]]
+    growth = []                         # growth[k - 1][m] = [q^m] exp(k*a)
     for d in range(1, trunc + 1):
-        jhat = _apply_mirror(i_series, ring, trunc, a, b, c)
-        fd = jhat.coefficient((d,))
-        r1 = fd.coeff((1,), 0)
-        r2 = fd.coeff((1,), -1)
-        r3 = fd.coeff((2,), -1) if n >= 2 else Fraction(0)
-        if r1:
-            b = b - QSeries(ring, 1, trunc,
-                            {(d,): LaurentClass.t_power(ring, 0, r1 * inv_l)})
-        if r2:
-            c = c - QSeries(ring, 1, trunc,
-                            {(d,): LaurentClass.t_power(ring, 0, r2 * inv_l)})
-        if r3:
-            a = a - QSeries(ring, 1, trunc,
-                            {(d,): LaurentClass.t_power(ring, 0, r3 * inv_l)})
-    jhat = _apply_mirror(i_series, ring, trunc, a, b, c)
+        growth.append([Fraction(1)])
+        for k in range(1, d):
+            m = d - k
+            powers = growth[k - 1]
+            powers.append(sum(j * a[j] * powers[m - j]
+                              for j in range(1, m + 1)) * k / m)
+        substituted.append(sum((i_coeffs[k] * growth[k - 1][d - k]
+                                for k in range(1, d + 1)), zero))
+        p_d = sum((weighted[k] * prefactor[d - k] for k in range(1, d)), zero)
+        prefactor.append(p_d * Fraction(1, d))  # E_d = 0 until solved
+        fd = sum((prefactor[m] * substituted[d - m] for m in range(d + 1)),
+                 zero)
+        a.append(-fd.coeff((2,), -1) * inv_l if n >= 2 else Fraction(0))
+        b.append(-fd.coeff((1,), 0) * inv_l)
+        c.append(-fd.coeff((1,), -1) * inv_l)
+        e_d = (LaurentClass.t_power(ring, 0, b[d])
+               + LaurentClass.t_power(ring, -1, c[d]) + h_over_t * a[d])
+        weighted.append(e_d * d)
+        prefactor[d] = prefactor[d] + e_d
+
+    def scalar_series(values):
+        return QSeries(ring, 1, trunc,
+                       {(d,): LaurentClass.t_power(ring, 0, v)
+                        for d, v in enumerate(values) if v})
+
+    a, b, c = scalar_series(a), scalar_series(b), scalar_series(c)
+    jhat = _apply_mirror(i_fun.series(), ring, trunc, a, b, c)
     lh = LaurentClass.from_coh(ring.generator("H") * l)
     if jhat.coefficient((0,)) != lh:
         raise NormalizationFailed("degree-0 term is %r, expected %r"

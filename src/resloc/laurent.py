@@ -67,15 +67,6 @@ class LaurentClass:
             return Fraction(0)
         return c.coeff(exps)
 
-    def support(self):
-        return sorted(self.terms)
-
-    def min_t(self):
-        return min(self.terms)
-
-    def max_t(self):
-        return max(self.terms)
-
     def _check_ring(self, other):
         if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch("cannot combine Laurent elements over %r and %r"
@@ -159,9 +150,6 @@ class LaurentClass:
         return LaurentClass(self.ring,
                             {j: c * (1 if j % 2 == 0 else -1)
                              for j, c in self.terms.items()})
-
-    def scale(self, r):
-        return self * as_fraction(r)
 
     def map_coefficients(self, fn, ring):
         """Apply fn to every CohClass coefficient; fn maps into ring."""

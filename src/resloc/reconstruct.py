@@ -7,9 +7,15 @@ the combination
                + F_d(-t) * prod_i (H_i - d_i t)^(a_i)
 
 is polynomial in t, so the strictly negative part of the known terms
-determines G_d.  The k = 0 coefficient of G pairs to 2-point invariants,
-which assemble quantum multiplication by a divisor through the divisor
-axiom (the one imported fact external to the residue formalism).
+determines G_d.  The known terms of one degree d are built for every basis
+exponent a together: per split, F_d2(-t) is flipped once and the argument
+for a is the one for a - e_i times a single factor (H_i - d2_i t); nothing
+is kept across degrees but the table itself.  The recursion and
+TwoPointTable.residual read the same per-degree routine.
+
+The k = 0 coefficient of G pairs to 2-point invariants, which assemble
+quantum multiplication by a divisor through the divisor axiom (the one
+imported fact external to the residue formalism).
 """
 
 from fractions import Fraction
@@ -37,20 +43,6 @@ def _degree_vectors(nvars, trunc):
 
         rec([], total, nvars)
         out.extend(sorted(block))
-    return out
-
-
-def _divisor_factor(ring, a, d, unit):
-    """prod_i (H_i - d_i * unit * t)^(a_i) as a Laurent class."""
-    out = LaurentClass.one(ring)
-    for i, (ai, di) in enumerate(zip(a, d)):
-        if ai == 0:
-            continue
-        exps = [0] * len(a)
-        exps[i] = 1
-        gen = LaurentClass.from_coh(ring.monomial(tuple(exps), 1))
-        base = gen - LaurentClass.t_power(ring, 1, di * unit)
-        out = out * base ** ai
     return out
 
 
@@ -127,7 +119,7 @@ class TwoPointTable:
         """
         d = self._as_degree(d)
         a = self._as_exps(a)
-        expr = self.series(d, a) + _known_part(self, jfun, d, a)
+        expr = self.series(d, a) + _known_parts(self, jfun, d)[a]
         return neg_part(expr)
 
 
@@ -151,16 +143,42 @@ def _splits(d):
     return out
 
 
-def _known_part(table, jfun, d, a):
-    """Convolution plus direct term: everything in the expression except G_d."""
+def _known_parts(table, jfun, d):
+    """Convolution plus direct term for every basis exponent a at degree d.
+
+    That is everything in the recursion expression except G_d.  The direct
+    term, as d2 = d, and each split (d1, d2) flip F_d2 once and build their
+    arguments for all a together (see _arguments).
+    """
     ring = table.ring_spec.ring
+    monos = table.ring_spec.monomials()
     unit = table.d_beta_unit
-    total = LaurentClass.zero(ring)
+    total = _arguments(ring, monos, jfun.coefficient(d).flip_t(), d, unit)
     for d1, d2 in _splits(d):
-        arg = jfun.coefficient(d2).flip_t() * _divisor_factor(ring, a, d2, unit)
-        total = total + table.apply(d1, arg)
-    total = total + jfun.coefficient(d).flip_t() * _divisor_factor(ring, a, d, unit)
+        args = _arguments(ring, monos, jfun.coefficient(d2).flip_t(), d2, unit)
+        for a in monos:
+            total[a] = total[a] + table.apply(d1, args[a])
     return total
+
+
+def _arguments(ring, monos, flipped, d2, unit):
+    """flipped * prod_i (H_i - d2_i * unit * t)^(a_i) for every a in monos.
+
+    The argument for a is the one for a - e_i, i its first nonzero slot,
+    times one linear factor; monos lists a - e_i before a.
+    """
+    factors = [LaurentClass.from_coh(ring.generator(g))
+               - LaurentClass.t_power(ring, 1, di * unit)
+               for g, di in zip(ring.gens, d2)]
+    args = {}
+    for a in monos:
+        i = next((i for i, e in enumerate(a) if e), None)
+        if i is None:
+            args[a] = flipped
+        else:
+            prev = a[:i] + (a[i] - 1,) + a[i + 1:]
+            args[a] = args[prev] * factors[i]
+    return args
 
 
 def reconstruct_two_point(jfun, d_beta_unit=1):
@@ -168,8 +186,7 @@ def reconstruct_two_point(jfun, d_beta_unit=1):
     spec = jfun.ring_spec
     table = TwoPointTable(spec, jfun.trunc, d_beta_unit, {})
     for d in _degree_vectors(spec.nvars, jfun.trunc):
-        for a in spec.monomials():
-            known = _known_part(table, jfun, d, a)
+        for a, known in _known_parts(table, jfun, d).items():
             table.table[(d, a)] = -neg_part(known)
     return table
 

@@ -8,14 +8,17 @@ on it).
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from resloc.errors import DegenerateSystem, NormalizationFailed, NotDivisible
 from resloc.geometry import RingSpec
-from resloc.jfun import (IFunction, JFunction, i_function, j_product,
-                         j_projective, mirror_normalize, pull_to_hypersurface)
+from resloc.jfun import (IFunction, JFunction, _apply_mirror, i_function,
+                         j_product, j_projective, mirror_normalize,
+                         pull_to_hypersurface)
 from resloc.laurent import LaurentClass
+from resloc.qseries import QSeries
 
 
 def scalar_at(series, d):
@@ -231,3 +234,96 @@ def test_json_round_trips():
     data = md.to_json()
     assert set(data) == {"a", "b", "c", "normalized"}
     assert JFunction.from_json(data["normalized"]) == md.pushed
+
+
+def _mirror_by_full_apply(i_fun):
+    # the per-order solve that rebuilds all of Jhat at every q-order: a
+    # reference for the online pass of mirror_normalize
+    ring = i_fun.ring_spec.ring
+    trunc = i_fun.trunc
+    i_series = i_fun.series()
+    a = QSeries.zero(ring, 1, trunc)
+    b = QSeries.zero(ring, 1, trunc)
+    c = QSeries.zero(ring, 1, trunc)
+    for d in range(1, trunc + 1):
+        fd = _apply_mirror(i_series, ring, trunc, a, b, c).coefficient((d,))
+        for series, exps, j in ((b, (1,), 0), (c, (1,), -1), (a, (2,), -1)):
+            v = fd.coeff(exps, j) / i_fun.l
+            if v:
+                series.terms[(d,)] = LaurentClass.t_power(ring, 0, -v)
+    return a, b, c, _apply_mirror(i_series, ring, trunc, a, b, c)
+
+
+@pytest.mark.parametrize("n,l", [(3, 2), (4, 3), (3, 3), (4, 4), (3, 4),
+                                 (4, 5)])
+def test_online_mirror_matches_full_apply(n, l):
+    # l < n, l = n and l = n + 1 at D <= 5
+    trunc = 5 if n == 3 else 4
+    i = i_function(n, l, trunc)
+    a, b, c, jhat = _mirror_by_full_apply(i)
+    md = mirror_normalize(i)
+    assert (md.a, md.b, md.c) == (a, b, c)
+    assert md.pushed.series() == jhat
+
+
+def _mul(f, g):
+    return [sum(f[k] * g[m - k] for k in range(m + 1)) for m in range(len(f))]
+
+
+def _exp(f):
+    # f_0 = 0; m P_m = sum_k k f_k P_(m-k)
+    out = [Fraction(1)]
+    for m in range(1, len(f)):
+        out.append(sum(k * f[k] * out[m - k] for k in range(1, m + 1)) / m)
+    return out
+
+
+def _log(f):
+    # f_0 = 1; m f_m = sum_k k L_k f_(m-k)
+    out = [Fraction(0)]
+    for m in range(1, len(f)):
+        out.append(f[m] - sum((k * out[k] * f[m - k] for k in range(1, m)),
+                              Fraction(0)) / m)
+    return out
+
+
+def _inverse(f):
+    # f_0 = 1
+    out = [Fraction(1)]
+    for m in range(1, len(f)):
+        out.append(-sum(f[k] * out[m - k] for k in range(1, m + 1)))
+    return out
+
+
+def _substitute(f, a):
+    # f(q * exp(a(q)))
+    growth = _exp(a)
+    out = [Fraction(0)] * len(f)
+    power = [Fraction(1)] + [Fraction(0)] * (len(f) - 1)
+    for d in range(len(f)):
+        for m in range(len(f) - d):
+            out[d + m] += f[d] * power[m]
+        power = _mul(power, growth)
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_calabi_yau_mirror_map_closed_form(n):
+    # l = n + 1: I/(lH) = F(q) + (H/t) G(q) + O(H^2) with
+    # F_d = (ld)!/(d!)^l and G_d = F_d * l * (h_ld - h_d), h_m harmonic,
+    # so the mirror map is a = -(G/F)(q e^a), b = -log F(q e^a), c = 0
+    l, trunc = n + 1, 12
+    f = [Fraction(factorial(l * d), factorial(d) ** l) for d in range(trunc + 1)]
+    harmonic = [sum(Fraction(1, k) for k in range(1, m + 1))
+                for m in range(l * trunc + 1)]
+    g = [f[d] * l * (harmonic[l * d] - harmonic[d]) for d in range(trunc + 1)]
+    ratio = [-v for v in _mul(g, _inverse(f))]
+    a = [Fraction(0)] * (trunc + 1)
+    for _ in range(trunc):
+        a = _substitute(ratio, a)
+    b = [-v for v in _log(_substitute(f, a))]
+    md = mirror_normalize(i_function(n, l, trunc))
+    assert md.c.is_zero()
+    for d in range(1, trunc + 1):
+        assert scalar_at(md.a, (d,)) == a[d], d
+        assert scalar_at(md.b, (d,)) == b[d], d

@@ -7,7 +7,9 @@ hypersurfaces are pinned against Schubert integrals over G(2, n+1) and the
 line counts of Ellingsrud and Stromme (1996).
 """
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,8 @@ from resloc.reconstruct import (QuantumMatrix, Relation, qh_relation,
                                 quantum_mult_matrix, reconstruct_two_point)
 from resloc.schubert import grassmann_integral_residue
 from resloc.sympoly import SymPoly, sym_power_top_chern
+
+SNAPSHOT = Path(__file__).parent / "snapshots" / "quintic_two_point.json"
 
 # rational curves of degree d on the quintic threefold, d = 1..5
 QUINTIC_N = (2875, 609250, 317206375, 242467530000, 229305888887625)
@@ -37,6 +41,12 @@ def quintic_table(trunc):
 def p1xp1_table(trunc):
     j = j_projective(1, trunc)
     return reconstruct_two_point(j_product(j, j))
+
+
+def p1xp2_jfun(trunc):
+    # generator truncations differ (H1^2 = 0, H2^3 = 0), so the basis
+    # exponents reach 2 in the second slot only
+    return j_product(j_projective(1, trunc), j_projective(2, trunc))
 
 
 def test_p1_degree_one_series():
@@ -87,6 +97,7 @@ def test_residual_polynomial():
     ]
     j = j_projective(1, 2)
     pairs.append((j_product(j, j), None))
+    pairs.append((p1xp2_jfun(4), None))
     for jfun, _ in pairs:
         table = reconstruct_two_point(jfun)
         for d in table.degrees():
@@ -95,7 +106,8 @@ def test_residual_polynomial():
 
 
 def test_invariant_symmetry():
-    for table in [reconstruct_two_point(j_projective(3, 2)), p1xp1_table(2)]:
+    for table in [reconstruct_two_point(j_projective(3, 2)), p1xp1_table(2),
+                  reconstruct_two_point(p1xp2_jfun(4))]:
         spec = table.ring_spec
         for d in table.degrees():
             for a in spec.monomials():
@@ -127,6 +139,16 @@ def test_quintic_invariants():
         expected = d * d * sum(Fraction(QUINTIC_N[d // k - 1], k ** 3)
                                for k in range(1, d + 1) if d % k == 0)
         assert table.invariant((1,), (1,), (d,)) == expected, d
+
+
+def test_quintic_snapshot_matches_literature():
+    # the stored criterion-6 values are <H,H>_d for d = 2, 3
+    data = json.loads(SNAPSHOT.read_text())
+    assert data["target"] == {"kind": "hypersurface", "l": 5, "n": 4}
+    for d in (2, 3):
+        expected = d * d * sum(Fraction(QUINTIC_N[d // k - 1], k ** 3)
+                               for k in range(1, d + 1) if d % k == 0)
+        assert Fraction(data["values"][str(d)]) == expected, d
 
 
 # lines on hypersurfaces: <H^a, H^b>_1 for the cubic surface, cubic
@@ -182,6 +204,13 @@ def test_p1xp1_relations():
     table = p1xp1_table(2)
     assert str(qh_relation(quantum_mult_matrix(table, 0))) == "H1^2 - q1"
     assert str(qh_relation(quantum_mult_matrix(table, 1))) == "H2^2 - q2"
+
+
+def test_p1xp2_relations():
+    table = reconstruct_two_point(p1xp2_jfun(4))
+    assert max(a[1] for a in table.ring_spec.monomials()) == 2
+    assert str(qh_relation(quantum_mult_matrix(table, 0))) == "H1^2 - q1"
+    assert str(qh_relation(quantum_mult_matrix(table, 1))) == "H2^3 - q2"
 
 
 def test_quantum_matrix_classical_part():
