@@ -9,11 +9,10 @@ relations.
 
 from . import errors
 from .errors import ReslocError
-from .geometry import (RingSpec, integrate, pushforward_hypersurface,
-                       pushforward_hypersurface_laurent)
+from .geometry import RingSpec, integrate
 from .jfun import (IFunction, JFunction, MirrorData, i_function, j_product,
                    j_projective, mirror_normalize, pull_to_hypersurface)
-from .laurent import LaurentClass, laurent_invert, neg_part, pos_part
+from .laurent import LaurentClass, laurent_invert, neg_part
 from .linalg import ExactSolver
 from .qseries import QSeries, qs_compose, qs_exp
 from .reconstruct import (QuantumMatrix, Relation, TwoPointTable, qh_relation,
@@ -62,10 +61,7 @@ __all__ = [
     "mirror_normalize",
     "neg_part",
     "parse_tau",
-    "pos_part",
     "pull_to_hypersurface",
-    "pushforward_hypersurface",
-    "pushforward_hypersurface_laurent",
     "qh_relation",
     "qs_compose",
     "qs_exp",

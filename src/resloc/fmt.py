@@ -36,21 +36,6 @@ def laurent_to_json(lc):
     return out
 
 
-def laurent_from_json(ring, data):
-    from .laurent import LaurentClass
-    from .ring import CohClass
-    terms = {}
-    for j_str, coeffs in data.items():
-        coh = {}
-        for e_str, v_str in coeffs.items():
-            v = Fraction(v_str)
-            if v:
-                coh[parse_tuple(e_str)] = v
-        if coh:
-            terms[int(j_str)] = CohClass(ring, coh)
-    return LaurentClass(ring, terms)
-
-
 def scalar_series_to_json(qs):
     """Scalar q-series as {"d" or "d1,d2": "p/q"} in sorted degree order."""
     coeffs = qs.scalar_coefficients()

@@ -14,8 +14,7 @@ first Chern degrees) for dimension bookkeeping downstream.
 
 from fractions import Fraction
 
-from .errors import RingMismatch
-from .ring import CohClass, Ring
+from .ring import Ring
 
 
 class RingSpec:
@@ -99,19 +98,7 @@ class RingSpec:
 
     def monomials(self):
         """All basis exponent tuples in graded lexicographic order."""
-        ranges = [range(t) for t in self.ring.truncs]
-        out = []
-
-        def rec(prefix, rest):
-            if not rest:
-                out.append(tuple(prefix))
-                return
-            for e in rest[0]:
-                rec(prefix + [e], rest[1:])
-
-        rec([], ranges)
-        out.sort(key=lambda e: (sum(e), e))
-        return out
+        return self.ring.monomials()
 
     def to_json(self):
         if self.kind == "projective":
@@ -120,17 +107,6 @@ class RingSpec:
             return {"kind": "hypersurface", "n": self.n, "l": self.l}
         return {"kind": "product",
                 "components": [f.to_json() for f in self.components]}
-
-    @classmethod
-    def from_json(cls, data):
-        kind = data.get("kind")
-        if kind == "projective":
-            return cls.projective(int(data["n"]))
-        if kind == "hypersurface":
-            return cls.hypersurface(int(data["n"]), int(data["l"]))
-        if kind == "product":
-            return cls.product([cls.from_json(f) for f in data["components"]])
-        raise ValueError("unknown ring spec kind %r" % kind)
 
     def __eq__(self, other):
         if not isinstance(other, RingSpec):
@@ -152,27 +128,3 @@ def integrate(c):
     normalization determine the top class.
     """
     return c.coeff(c.ring.top_exp) * c.ring.norm
-
-
-def pushforward_hypersurface(c, spec):
-    """Push a class from hypersurface(n, l) forward to projective(n).
-
-    The inclusion multiplies by the hyperplane section class, so H^a maps to
-    l * H^(a+1) in the ambient ring.
-    """
-    if spec.kind != "hypersurface":
-        raise ValueError("pushforward source must be a hypersurface spec")
-    if c.ring != spec.ring:
-        raise RingMismatch("class does not live in the hypersurface ring")
-    ambient = RingSpec.projective(spec.n)
-    out = {}
-    for (a,), v in c.coeffs.items():
-        out[(a + 1,)] = v * spec.l
-    return CohClass(ambient.ring, out)
-
-
-def pushforward_hypersurface_laurent(lc, spec):
-    ambient = RingSpec.projective(spec.n)
-    return lc.map_coefficients(lambda c: pushforward_hypersurface(c, spec),
-                               ambient.ring)
-

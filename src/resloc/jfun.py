@@ -5,65 +5,50 @@ residues 1/(t(t-psi)) of one-pointed stable map spaces.  For projective space
 these coefficients are explicit inverse products; hypersurface data arrives
 through the hypergeometric I-function and is converted to a genuine J-function
 by solving for the mirror transformation order by order in q.
+
+Both are q-series with Laurent coefficients, related by a change of
+variables, so JFunction is a QSeries that also carries its RingSpec and
+IFunction is a JFunction that also carries the hypersurface degree l; the
+mirror transformation works on the I-function directly.
 """
 
 from fractions import Fraction
 
 from .errors import DegenerateSystem, NormalizationFailed, NotDivisible
-from .fmt import laurent_from_json, laurent_to_json
+from .fmt import fmt_tuple, laurent_to_json, scalar_series_to_json
 from .geometry import RingSpec
 from .laurent import LaurentClass, laurent_invert
 from .qseries import QSeries, qs_compose, qs_exp
 from .ring import CohClass
 
 
-class JFunction:
-    """Degree-indexed table of Laurent coefficients F_d over a target ring.
+class JFunction(QSeries):
+    """A q-series of Laurent coefficients F_d that also knows its target.
 
     A genuine J-function has F_0 = 1 and, for d != 0, only t-exponents <= -2;
-    pushed-forward variants relax F_0 (see mirror_normalize).  The table keys
-    are degree tuples with one entry per quantum variable.
+    pushed-forward variants relax F_0 (see mirror_normalize).  The terms are
+    keyed by degree tuples with one entry per quantum variable of ring_spec.
     """
 
-    __slots__ = ("ring_spec", "trunc", "coeffs")
+    __slots__ = ("ring_spec",)
 
     def __init__(self, ring_spec, trunc, coeffs):
+        super().__init__(ring_spec.ring, ring_spec.nvars, trunc,
+                         {tuple(d): c for d, c in coeffs.items() if c})
         self.ring_spec = ring_spec
-        self.trunc = int(trunc)
-        self.coeffs = {tuple(d): c for d, c in coeffs.items() if not c.is_zero()}
-
-    @property
-    def nvars(self):
-        return self.ring_spec.nvars
-
-    def coefficient(self, d):
-        if isinstance(d, int):
-            d = (d,)
-        d = tuple(d)
-        return self.coeffs.get(d, LaurentClass.zero(self.ring_spec.ring))
-
-    def degrees(self):
-        return sorted(self.coeffs)
-
-    def series(self):
-        return QSeries(self.ring_spec.ring, self.nvars, self.trunc,
-                       dict(self.coeffs))
 
     def truncate(self, new_trunc):
-        if new_trunc > self.trunc:
-            raise ValueError("cannot extend a truncated J-function")
-        kept = {d: c for d, c in self.coeffs.items() if sum(d) <= new_trunc}
-        return JFunction(self.ring_spec, new_trunc, kept)
+        return JFunction(self.ring_spec, new_trunc,
+                         QSeries.truncate(self, new_trunc).terms)
 
     def check_shape(self, expected_f0=None):
         """True when F_0 matches and every d != 0 term has t-exponents <= -2."""
-        ring = self.ring_spec.ring
         if expected_f0 is None:
-            expected_f0 = LaurentClass.one(ring)
+            expected_f0 = LaurentClass.one(self.ring)
         zero_deg = (0,) * self.nvars
         if self.coefficient(zero_deg) != expected_f0:
             return False
-        for d, c in self.coeffs.items():
+        for d, c in self.terms.items():
             if d == zero_deg:
                 continue
             if any(j > -2 for j in c.terms):
@@ -74,25 +59,13 @@ class JFunction:
         if not isinstance(other, JFunction):
             return NotImplemented
         return (self.ring_spec == other.ring_spec and self.trunc == other.trunc
-                and self.coeffs == other.coeffs)
+                and self.terms == other.terms)
 
     def to_json(self):
-        from .fmt import fmt_tuple
-        coeffs = {}
-        for d in sorted(self.coeffs):
-            coeffs[fmt_tuple(d)] = laurent_to_json(self.coeffs[d])
+        coeffs = {fmt_tuple(d): laurent_to_json(self.terms[d])
+                  for d in sorted(self.terms)}
         return {"ring": self.ring_spec.to_json(), "D": self.trunc,
                 "coefficients": coeffs}
-
-    @classmethod
-    def from_json(cls, data):
-        from .fmt import parse_tuple
-        spec = RingSpec.from_json(data["ring"])
-        trunc = int(data["D"])
-        coeffs = {}
-        for d_str, lc_data in data["coefficients"].items():
-            coeffs[parse_tuple(d_str)] = laurent_from_json(spec.ring, lc_data)
-        return cls(spec, trunc, coeffs)
 
 
 def j_projective(n, trunc):
@@ -130,9 +103,9 @@ def j_product(j1, j2):
     spec = RingSpec.product(parts)
     offset1 = len(j1.ring_spec.ring.gens)
     coeffs = {}
-    for d1, c1 in j1.coeffs.items():
+    for d1, c1 in j1.terms.items():
         e1 = _embed_block(spec, 0, c1)
-        for d2, c2 in j2.coeffs.items():
+        for d2, c2 in j2.terms.items():
             if sum(d1) + sum(d2) > j1.trunc:
                 continue
             e2 = _embed_block(spec, offset1, c2)
@@ -155,58 +128,20 @@ def _embed_block(spec, offset, lc):
     return LaurentClass(ring, out)
 
 
-class IFunction:
+class IFunction(JFunction):
     """Hypergeometric series attached to a degree-l hypersurface in P^n.
 
     Lives on the ambient projective ring; I_0 = lH and every coefficient
     carries at least one power of H.
     """
 
-    __slots__ = ("ring_spec", "l", "trunc", "coeffs")
+    __slots__ = ("l",)
 
     def __init__(self, ring_spec, l, trunc, coeffs):
         if ring_spec.kind != "projective":
             raise ValueError("I-functions live on a projective ambient ring")
-        self.ring_spec = ring_spec
+        super().__init__(ring_spec, trunc, coeffs)
         self.l = int(l)
-        self.trunc = int(trunc)
-        self.coeffs = {tuple(d): c for d, c in coeffs.items() if not c.is_zero()}
-
-    def coefficient(self, d):
-        if isinstance(d, int):
-            d = (d,)
-        return self.coeffs.get(tuple(d), LaurentClass.zero(self.ring_spec.ring))
-
-    def series(self):
-        return QSeries(self.ring_spec.ring, 1, self.trunc, dict(self.coeffs))
-
-    @classmethod
-    def from_pushed(cls, j_pushed, l):
-        """View a pushed J-function (F_0 = lH) as I-function input again."""
-        return cls(j_pushed.ring_spec, l, j_pushed.trunc, dict(j_pushed.coeffs))
-
-    def to_json(self):
-        from .fmt import fmt_tuple
-        coeffs = {}
-        for d in sorted(self.coeffs):
-            coeffs[fmt_tuple(d)] = laurent_to_json(self.coeffs[d])
-        return {"ring": self.ring_spec.to_json(), "l": self.l, "D": self.trunc,
-                "coefficients": coeffs}
-
-    @classmethod
-    def from_json(cls, data):
-        from .fmt import parse_tuple
-        spec = RingSpec.from_json(data["ring"])
-        coeffs = {}
-        for d_str, lc_data in data["coefficients"].items():
-            coeffs[parse_tuple(d_str)] = laurent_from_json(spec.ring, lc_data)
-        return cls(spec, int(data["l"]), int(data["D"]), coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, IFunction):
-            return NotImplemented
-        return (self.ring_spec == other.ring_spec and self.l == other.l
-                and self.trunc == other.trunc and self.coeffs == other.coeffs)
 
 
 def i_function(n, l, trunc):
@@ -239,17 +174,15 @@ def i_function(n, l, trunc):
 class MirrorData:
     """Result of the mirror transformation: scalar series a, b, c and pushed J."""
 
-    __slots__ = ("a", "b", "c", "pushed", "l")
+    __slots__ = ("a", "b", "c", "pushed")
 
-    def __init__(self, a, b, c, pushed, l):
+    def __init__(self, a, b, c, pushed):
         self.a = a
         self.b = b
         self.c = c
         self.pushed = pushed
-        self.l = l
 
     def to_json(self):
-        from .fmt import scalar_series_to_json
         return {"a": scalar_series_to_json(self.a),
                 "b": scalar_series_to_json(self.b),
                 "c": scalar_series_to_json(self.c),
@@ -340,7 +273,7 @@ def mirror_normalize(i_fun):
                         for d, v in enumerate(values) if v})
 
     a, b, c = scalar_series(a), scalar_series(b), scalar_series(c)
-    jhat = _apply_mirror(i_fun.series(), ring, trunc, a, b, c)
+    jhat = _apply_mirror(i_fun, ring, trunc, a, b, c)
     lh = LaurentClass.from_coh(ring.generator("H") * l)
     if jhat.coefficient((0,)) != lh:
         raise NormalizationFailed("degree-0 term is %r, expected %r"
@@ -352,8 +285,7 @@ def mirror_normalize(i_fun):
             raise NormalizationFailed(
                 "degree %d retains t-exponent %d after normalization"
                 % (d, max(bad)))
-    pushed = JFunction(spec, trunc, {d: v for d, v in jhat.terms.items()})
-    return MirrorData(a, b, c, pushed, l)
+    return MirrorData(a, b, c, JFunction(spec, trunc, jhat.terms))
 
 
 def pull_to_hypersurface(j_pushed, l):
@@ -377,6 +309,6 @@ def pull_to_hypersurface(j_pushed, l):
         return CohClass(hyp.ring, out)
 
     coeffs = {}
-    for d, lc in j_pushed.coeffs.items():
+    for d, lc in j_pushed.terms.items():
         coeffs[d] = lc.map_coefficients(divide, hyp.ring)
     return JFunction(hyp, j_pushed.trunc, coeffs)

@@ -186,11 +186,6 @@ def neg_part(e):
     return LaurentClass(e.ring, {j: c for j, c in e.terms.items() if j < 0})
 
 
-def pos_part(e):
-    """Terms of e with t-exponent >= 0."""
-    return LaurentClass(e.ring, {j: c for j, c in e.terms.items() if j >= 0})
-
-
 def laurent_invert(e):
     """Invert a Laurent element whose scalar part is a single t-monomial.
 

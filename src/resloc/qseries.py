@@ -49,7 +49,8 @@ class QSeries:
                              % (self.nvars, self.trunc, other.nvars, other.trunc))
 
     def coefficient(self, deg):
-        deg = tuple(deg)
+        """Coefficient of q^deg; an int deg stands for (deg,)."""
+        deg = (deg,) if isinstance(deg, int) else tuple(deg)
         return self.terms.get(deg, LaurentClass.zero(self.ring))
 
     def is_zero(self):

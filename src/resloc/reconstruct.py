@@ -11,7 +11,10 @@ determines G_d.  The known terms of one degree d are built for every basis
 exponent a together: per split, F_d2(-t) is flipped once and the argument
 for a is the one for a - e_i times a single factor (H_i - d2_i t); nothing
 is kept across degrees but the table itself.  The recursion and
-TwoPointTable.residual read the same per-degree routine.
+TwoPointTable.residual read the same per-degree routine.  G_d applied to an
+argument adds each scaled G_d(H^e) into one coefficient table.  Degree
+vectors come from Ring.monomials in graded order, which fixes the row order
+of the CLI reports.
 
 The k = 0 coefficient of G pairs to 2-point invariants, which assemble
 quantum multiplication by a divisor through the divisor axiom (the one
@@ -19,31 +22,21 @@ imported fact external to the residue formalism).
 """
 
 from fractions import Fraction
+from itertools import product
+from operator import sub
 
 from .errors import Inconsistent, NoRelationFound, RankDeficient
 from .fmt import fmt_fraction, fmt_tuple
 from .geometry import integrate
 from .laurent import LaurentClass, neg_part
 from .linalg import ExactSolver
-from .ring import poly_add, poly_mul
+from .ring import Ring, poly_add, poly_mul
 
 
 def _degree_vectors(nvars, trunc):
     """All nonzero degree tuples with total degree <= trunc, graded order."""
-    out = []
-    for total in range(1, trunc + 1):
-        block = []
-
-        def rec(prefix, left, slots):
-            if slots == 1:
-                block.append(tuple(prefix + [left]))
-                return
-            for v in range(left + 1):
-                rec(prefix + [v], left - v, slots - 1)
-
-        rec([], total, nvars)
-        out.extend(sorted(block))
-    return out
+    gens = ["q%d" % i for i in range(nvars)]
+    return Ring(gens, [trunc + 1] * nvars, total=trunc).monomials()[1:]
 
 
 class TwoPointTable:
@@ -102,13 +95,20 @@ class TwoPointTable:
         return integrate(cls)
 
     def apply(self, d, arg):
-        """G_d on a Laurent-class argument, by linearity in the first factor."""
+        """G_d on a Laurent-class argument, by linearity in the first factor.
+
+        Every term c * t^j * H^e of the argument adds c * t^j * G_d(H^e) into
+        one coefficient table, so no partial sum is copied.
+        """
         d = self._as_degree(d)
-        out = LaurentClass.zero(self.ring_spec.ring)
+        out = {}
         for j, coh in arg.terms.items():
             for exps, c in coh.coeffs.items():
-                out = out + self.series(d, exps).shift(j) * c
-        return out
+                for k, g in self.series(d, exps).terms.items():
+                    s = out.get(j + k)
+                    out[j + k] = g * c if s is None else s + g * c
+        return LaurentClass(self.ring_spec.ring,
+                            {j: v for j, v in out.items() if v})
 
     def residual(self, jfun, d, a):
         """Negative part of the full recursion expression; zero iff consistent.
@@ -125,22 +125,9 @@ class TwoPointTable:
 
 def _splits(d):
     """All (d1, d2) with d1 + d2 = d, both nonzero, componentwise >= 0."""
-    nvars = len(d)
-    ranges = [range(v + 1) for v in d]
-    out = []
-
-    def rec(prefix, i):
-        if i == nvars:
-            d1 = tuple(prefix)
-            d2 = tuple(v - w for v, w in zip(d, d1))
-            if any(d1) and any(d2):
-                out.append((d1, d2))
-            return
-        for v in ranges[i]:
-            rec(prefix + [v], i + 1)
-
-    rec([], 0)
-    return out
+    return [(d1, tuple(map(sub, d, d1)))
+            for d1 in product(*(range(v + 1) for v in d))
+            if any(d1) and d1 != d]
 
 
 def _known_parts(table, jfun, d):
@@ -209,10 +196,6 @@ class QuantumMatrix:
 
     def entry(self, row, col):
         return dict(self.entries.get(tuple(col), {}).get(tuple(row), {}))
-
-    def classical_part(self, row, col):
-        zero = (0,) * self.ring_spec.nvars
-        return self.entry(row, col).get(zero, Fraction(0))
 
     def apply(self, vec):
         """Multiply a vector of q-polynomials {row: {deg: Fraction}}."""

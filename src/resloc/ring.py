@@ -14,6 +14,7 @@ floating point anywhere in this package.
 """
 
 from fractions import Fraction
+from itertools import product
 from operator import add, lt
 
 from .errors import RingMismatch
@@ -132,6 +133,13 @@ class Ring:
         return (len(exps) == len(self.truncs)
                 and all(0 <= e < t for e, t in zip(exps, self.truncs))
                 and (self.total is None or sum(exps) <= self.total))
+
+    def monomials(self):
+        """Every admitted exponent tuple, by total degree and then lex order."""
+        out = [e for e in product(*map(range, self.truncs))
+               if self.total is None or sum(e) <= self.total]
+        out.sort(key=lambda e: (sum(e), e))
+        return out
 
     def zero(self):
         return CohClass(self, {})

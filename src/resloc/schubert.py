@@ -223,14 +223,6 @@ class ZetaTable:
         except KeyError:
             raise MissingZetaEntry("no entry for zeta exponent %r" % (a_exps,))
 
-    def flag_integral(self, a, a_exps):
-        """Integral over the flag of h^a * zeta^A (a Fraction)."""
-        if a < 0:
-            raise ValueError("negative h exponent")
-        if a > self.n - 1:
-            return Fraction(0)
-        return self.entry(a_exps).coeff((self.n - 1 - a,))
-
     def push_zeta(self, c):
         """Pushforward of a CohClass over zeta_ring(m, n)."""
         out = self.ring.zero()
@@ -254,23 +246,6 @@ class ZetaTable:
                 and self.entries == other.entries)
 
 
-def _zeta_exponents(m, n):
-    """All A with |A| <= flag_band(m, n), sorted."""
-    band = flag_band(m, n)
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for a in range(remaining + 1):
-            rec(prefix + [a], remaining - a, slots - 1)
-
-    rec([], band, m - 1)
-    out.sort()
-    return out
-
-
 def _suggested_sample_count(m, n):
     band = flag_band(m, n)
     largest_level = comb(band + m - 2, m - 2) if m > 2 else 1
@@ -292,7 +267,7 @@ def _flag_euler_inverse(perm, wv, n):
     top = m * (m - 1) // 2 + m - 1
     ring = zeta_ring(m, n)
     terms = {}
-    for a_exps in _zeta_exponents(m, n):
+    for a_exps in ring.monomials():
         den = scale * prod(c ** (a + 1) for c, a in zip(cs, a_exps))
         terms.setdefault(-top - sum(a_exps), {})[a_exps] = Fraction(1, den)
     return LaurentClass(ring, {j: CohClass(ring, c) for j, c in terms.items()})
@@ -338,7 +313,7 @@ def flag_pushforward_extract(m, n, weight_samples=None):
             for j in sorted(set(lhs.terms) | set(rhs.terms)):
                 solver.add_equation(lhs.coefficient(j).coeffs,
                                     rhs.coefficient(j))
-    return ZetaTable(m, n, solver.solution(_zeta_exponents(m, n)))
+    return ZetaTable(m, n, solver.solution(zeta_ring(m, n).monomials()))
 
 
 def verify_euler_pushforward_identity(m, n, ztable, w):

@@ -162,9 +162,6 @@ class SymPoly:
             return -1
         return max(sum(e) for e in self.coeffs)
 
-    def is_homogeneous(self):
-        return len({sum(e) for e in self.coeffs}) <= 1
-
     def __add__(self, other):
         if not isinstance(other, SymPoly) or other.m != self.m:
             return NotImplemented

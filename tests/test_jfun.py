@@ -78,9 +78,12 @@ def test_truncate():
 
 def test_series_view():
     j = j_projective(1, 2)
-    s = j.series()
-    assert s.coefficient((1,)) == j.coefficient(1)
-    assert s.coefficient((3,)).is_zero()
+    assert isinstance(j, QSeries) and j.nvars == 1
+    assert j.coefficient((1,)) == j.coefficient(1)
+    assert j.coefficient((3,)).is_zero()
+    assert type(j.truncate(1)) is JFunction
+    i = i_function(4, 5, 2)
+    assert isinstance(i, JFunction) and i.l == 5
 
 
 def test_i_function_quintic_degree_one():
@@ -151,7 +154,9 @@ def test_mirror_quintic_constants():
 
 def test_mirror_idempotent():
     md = mirror_normalize(i_function(4, 5, 2))
-    again = mirror_normalize(IFunction.from_pushed(md.pushed, 5))
+    pushed = md.pushed
+    again = mirror_normalize(IFunction(pushed.ring_spec, 5, pushed.trunc,
+                                       pushed.terms))
     assert again.a.is_zero() and again.b.is_zero() and again.c.is_zero()
     for d in [0, 1, 2]:
         assert again.pushed.coefficient(d) == md.pushed.coefficient(d)
@@ -159,7 +164,7 @@ def test_mirror_idempotent():
 
 def test_mirror_degenerate_response():
     base = i_function(4, 5, 1)
-    broken = IFunction(base.ring_spec, 0, 1, dict(base.coeffs))
+    broken = IFunction(base.ring_spec, 0, 1, dict(base.terms))
     with pytest.raises(DegenerateSystem):
         mirror_normalize(broken)
 
@@ -167,7 +172,7 @@ def test_mirror_degenerate_response():
 def test_mirror_failure_wrong_leading_term():
     base = i_function(4, 5, 1)
     ring = base.ring_spec.ring
-    coeffs = dict(base.coeffs)
+    coeffs = dict(base.terms)
     coeffs[(0,)] = LaurentClass.from_coh(ring.generator("H"))
     with pytest.raises(NormalizationFailed):
         mirror_normalize(IFunction(base.ring_spec, 5, 1, coeffs))
@@ -178,7 +183,7 @@ def test_mirror_failure_uncorrectable_term():
     # term survives and the final residual check must report it
     base = i_function(4, 5, 1)
     ring = base.ring_spec.ring
-    coeffs = dict(base.coeffs)
+    coeffs = dict(base.terms)
     coeffs[(1,)] = coeffs[(1,)] + LaurentClass.from_coh(ring.monomial((3,)))
     with pytest.raises(NormalizationFailed):
         mirror_normalize(IFunction(base.ring_spec, 5, 1, coeffs))
@@ -212,7 +217,7 @@ def test_j_product_p1_p1():
     assert f11.coeff((0, 0), -4) == 1
     assert f11.coeff((1, 1), -6) == 4
     # total degree cutoff at the shared truncation
-    assert (2, 1) not in jj.coeffs
+    assert (2, 1) not in jj.terms
     assert jj.check_shape()
 
 
@@ -226,14 +231,19 @@ def test_j_product_flattens_and_validates():
 
 
 def test_json_round_trips():
-    j = j_projective(2, 2)
-    assert JFunction.from_json(j.to_json()) == j
+    # F_1 of P^1 is t^-2 - 2H t^-3
+    assert j_projective(1, 1).to_json() == {
+        "ring": {"kind": "projective", "n": 1}, "D": 1,
+        "coefficients": {"0": {"0": {"0": "1"}},
+                         "1": {"-2": {"0": "1"}, "-3": {"1": "-2"}}}}
+    # I_0 = lH carries l
     i = i_function(3, 3, 2)
-    assert IFunction.from_json(i.to_json()) == i
+    assert i.to_json()["coefficients"]["0"] == {"0": {"1": "3"}}
     md = mirror_normalize(i)
     data = md.to_json()
     assert set(data) == {"a", "b", "c", "normalized"}
-    assert JFunction.from_json(data["normalized"]) == md.pushed
+    assert data["c"] == {"1": "-6"}
+    assert data["normalized"] == md.pushed.to_json()
 
 
 def _mirror_by_full_apply(i_fun):
@@ -241,17 +251,16 @@ def _mirror_by_full_apply(i_fun):
     # reference for the online pass of mirror_normalize
     ring = i_fun.ring_spec.ring
     trunc = i_fun.trunc
-    i_series = i_fun.series()
     a = QSeries.zero(ring, 1, trunc)
     b = QSeries.zero(ring, 1, trunc)
     c = QSeries.zero(ring, 1, trunc)
     for d in range(1, trunc + 1):
-        fd = _apply_mirror(i_series, ring, trunc, a, b, c).coefficient((d,))
+        fd = _apply_mirror(i_fun, ring, trunc, a, b, c).coefficient((d,))
         for series, exps, j in ((b, (1,), 0), (c, (1,), -1), (a, (2,), -1)):
             v = fd.coeff(exps, j) / i_fun.l
             if v:
                 series.terms[(d,)] = LaurentClass.t_power(ring, 0, -v)
-    return a, b, c, _apply_mirror(i_series, ring, trunc, a, b, c)
+    return a, b, c, _apply_mirror(i_fun, ring, trunc, a, b, c)
 
 
 @pytest.mark.parametrize("n,l", [(3, 2), (4, 3), (3, 3), (4, 4), (3, 4),
@@ -263,7 +272,7 @@ def test_online_mirror_matches_full_apply(n, l):
     a, b, c, jhat = _mirror_by_full_apply(i)
     md = mirror_normalize(i)
     assert (md.a, md.b, md.c) == (a, b, c)
-    assert md.pushed.series() == jhat
+    assert jhat == md.pushed
 
 
 def _mul(f, g):

@@ -12,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resloc.errors import NoRelationFound
 from resloc.geometry import RingSpec
@@ -221,14 +223,14 @@ def test_quantum_matrix_classical_part():
         shifted = (col[0] + 1,)
         for row in spec.monomials():
             expected = 1 if (row == shifted and spec.ring.admits(shifted)) else 0
-            assert m.classical_part(row, col) == expected
+            assert m.entry(row, col).get((0,), 0) == expected
 
 
 def test_quantum_matrix_p1xp1_cross():
     m = quantum_mult_matrix(p1xp1_table(2), 1)
     # H2 * H1 is purely classical: both point constraints pin the ruling
     # line, so the degree-(0,1) correction vanishes
-    assert m.classical_part((1, 1), (1, 0)) == 1
+    assert m.entry((1, 1), (1, 0)).get((0, 0)) == 1
     assert m.entry((1, 1), (1, 0)) == {(0, 0): Fraction(1)}
     assert m.entry((0, 0), (1, 0)) == {}
     # H2 * H2 = q2
@@ -292,3 +294,35 @@ def test_no_relation_found():
     m = QuantumMatrix(spec, 2, 0, spec.monomials(), entries)
     with pytest.raises(NoRelationFound):
         qh_relation(m)
+
+
+APPLY_TABLES = {"P2": reconstruct_two_point(j_projective(2, 2)),
+                "P1xP1": p1xp1_table(2)}
+
+
+@st.composite
+def apply_cases(draw):
+    table = APPLY_TABLES[draw(st.sampled_from(sorted(APPLY_TABLES)))]
+    spec = table.ring_spec
+    monos = spec.monomials()
+    d = draw(st.sampled_from(table.degrees()))
+    coeffs = st.fractions(-9, 9, max_denominator=4)
+    terms = draw(st.dictionaries(st.tuples(st.integers(-3, 3),
+                                           st.sampled_from(monos)),
+                                 coeffs, max_size=8))
+    return table, d, terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(apply_cases())
+def test_apply_is_termwise_sum(case):
+    # apply(d, arg) = sum over the terms c * t^j * H^e of arg of
+    # c * t^j * G_d(H^e)
+    table, d, terms = case
+    ring = table.ring_spec.ring
+    arg = LaurentClass.zero(ring)
+    want = LaurentClass.zero(ring)
+    for (j, e), c in terms.items():
+        arg = arg + LaurentClass.from_coh(ring.monomial(e, c), j)
+        want = want + table.series(d, e).shift(j) * c
+    assert table.apply(d, arg) == want

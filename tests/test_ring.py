@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from resloc.errors import RingMismatch
 from resloc.laurent import LaurentClass, laurent_invert
+from resloc.reconstruct import _splits
 from resloc.ring import CohClass, Ring, as_fraction, poly_add, poly_mul
 from resloc.schubert import flag_band, flag_fixed_locus_euler, zeta_ring
 
@@ -224,3 +226,34 @@ def test_zeta_ring_total_bound_keeps_band(n):
                 cut[j] = kept
         got = laurent_invert(euler)
         assert {j: c.coeffs for j, c in got.terms.items()} == cut
+
+
+@pytest.mark.parametrize("truncs", [(1,), (5,), (2, 3), (4, 1, 3), (3, 3, 3)])
+def test_monomials_without_bound(truncs):
+    monos = Ring(["v%d" % i for i in range(len(truncs))], truncs).monomials()
+    assert len(monos) == prod(truncs)
+
+
+@pytest.mark.parametrize("truncs,total", [((6,), 5), ((4, 4), 3),
+                                          ((8, 9, 7), 6), ((3, 3, 3, 3), 2),
+                                          ((5, 2), 3), ((3, 4, 2), 4)])
+def test_monomials_with_total_bound(truncs, total):
+    ring = Ring(["v%d" % i for i in range(len(truncs))], truncs, total=total)
+    monos = ring.monomials()
+    if all(t > total for t in truncs):
+        # compositions of at most total into len(truncs) parts
+        assert len(monos) == comb(total + len(truncs), len(truncs))
+    keys = [(sum(e), e) for e in monos]
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+    assert all(ring.admits(e) for e in monos)
+    assert len(monos) == sum(
+        1 for e in Ring(ring.gens, truncs).monomials() if sum(e) <= total)
+
+
+@pytest.mark.parametrize("d", [(1,), (4,), (1, 1), (2, 3), (3, 0), (1, 2, 2)])
+def test_splits_count(d):
+    splits = _splits(d)
+    assert len(splits) == prod(v + 1 for v in d) - 2
+    for d1, d2 in splits:
+        assert any(d1) and any(d2)
+        assert tuple(a + b for a, b in zip(d1, d2)) == d

