@@ -8,6 +8,7 @@ raised by the engine.
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -44,7 +45,10 @@ def _default_order():
     return value
 
 
+@functools.cache
 def _build_parser():
+    # built on the first run and reused: parse_args keeps no state between
+    # calls, and building all six subparsers costs more than a small query
     parser = argparse.ArgumentParser(
         prog="resloc",
         description="Exact Schubert calculus and genus-0 Gromov-Witten "

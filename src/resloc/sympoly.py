@@ -6,30 +6,33 @@ provides Schur polynomials, Schur expansion through the Vandermonde
 alternant, and the top Chern class of the symmetric power of the tautological
 rank-2 bundle, which together form the classical oracle for Grassmannian
 integrals.
+
+Raw polynomials keep whatever exact coefficients they are built from: the
+builders below give int coefficients from int inputs, so products of parsed
+expressions run in integer arithmetic.  SymPoly stores Fractions.
 """
 
 import itertools
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 from .errors import NotSymmetric
 from .laurent import LaurentClass
 from .ring import as_fraction, poly_add, poly_mul
 
 # ---------------------------------------------------------------------------
-# raw polynomial dictionaries {exponent tuple: Fraction}; no symmetry implied;
-# sums and products go through the ring kernel's poly_add and poly_mul
+# raw polynomial dictionaries {exponent tuple: int or Fraction}; no symmetry
+# implied; sums and products go through the ring kernel's poly_add and poly_mul
 
 
 def p_const(m, c):
-    c = as_fraction(c)
     return {(0,) * m: c} if c else {}
 
 def p_var(m, i):
     """The variable q_(i+1) as a raw polynomial."""
     e = [0] * m
     e[i] = 1
-    return {tuple(e): Fraction(1)}
+    return {tuple(e): 1}
 
 def p_neg(a):
     return {e: -c for e, c in a.items()}
@@ -38,7 +41,6 @@ def p_sub(a, b):
     return poly_add(a, p_neg(b))
 
 def p_scale(a, r):
-    r = as_fraction(r)
     if r == 0:
         return {}
     return {e: c * r for e, c in a.items()}
@@ -64,7 +66,7 @@ def complete_homogeneous(m, k):
         e = [0] * m
         for i in bars:
             e[i] += 1
-        out[tuple(e)] = Fraction(1)
+        out[tuple(e)] = 1
     return out
 
 
@@ -110,7 +112,7 @@ def monomial_symmetric(m, partition):
     padded = lam + (0,) * (m - len(lam))
     out = {}
     for perm in set(itertools.permutations(padded)):
-        out[perm] = Fraction(1)
+        out[perm] = 1
     return out
 
 
@@ -124,21 +126,24 @@ class SymPoly:
 
     def __init__(self, m, coeffs):
         self.m = int(m)
+        raw = {}
         clean = {}
         for e, c in coeffs.items():
-            e = tuple(int(x) for x in e)
+            e = tuple(map(int, e))
             if len(e) != self.m:
                 raise ValueError("exponent tuple %r has wrong arity" % (e,))
-            if any(x < 0 for x in e):
+            if min(e, default=0) < 0:
                 raise ValueError("negative exponent in %r" % (e,))
-            c = as_fraction(c)
-            if c:
-                clean[e] = c
+            f = as_fraction(c)
+            if f:
+                raw[e] = c
+                clean[e] = f
+        # compared as given: int coefficients compare faster than Fractions
         for i in range(self.m - 1):
-            for e, c in clean.items():
+            for e, c in raw.items():
                 swapped = list(e)
                 swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                if clean.get(tuple(swapped), Fraction(0)) != c:
+                if raw.get(tuple(swapped), 0) != c:
                     raise NotSymmetric(
                         "not symmetric: swapping q%d and q%d changes the "
                         "coefficient of %r" % (i + 1, i + 2, e),
@@ -252,8 +257,24 @@ def _alternant(m, mu):
 
     mu has distinct entries, so every permutation gives its own monomial.
     """
-    return {tuple(mu[sigma[i]] for i in range(m)): Fraction(_perm_sign(sigma))
+    return {tuple(mu[sigma[i]] for i in range(m)): _perm_sign(sigma)
             for sigma in itertools.permutations(range(m))}
+
+
+def _partitions(total, parts, largest):
+    """Partitions of total into at most parts parts, each at most largest.
+
+    Yields weakly decreasing tuples of length parts, padded with zeros.
+    """
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(total, largest), -1, -1):
+        if first * parts < total:
+            return
+        for rest in _partitions(total - first, parts - 1, first):
+            yield (first,) + rest
 
 
 def schur_expand(tau):
@@ -262,21 +283,29 @@ def schur_expand(tau):
     tau * a_delta = sum c_lambda * a_(lambda+delta) for the alternants a_mu,
     and q^(lambda+delta) is the only monomial of a_(lambda+delta) with
     strictly decreasing exponents.  So c_lambda is the coefficient of
-    q^(lambda+delta) in tau * a_delta, and only the term pairs that land on
-    strictly decreasing exponents are formed.  Returns {partition: Fraction}
-    with trailing zeros stripped from keys.
+    q^(lambda+delta) in tau * a_delta: the alternating sum over sigma of
+    sign(sigma) times the coefficient of q^(lambda + delta - sigma delta) in
+    tau (the Jacobi bialternant; Macdonald, Symmetric Functions and Hall
+    Polynomials, I.3), m! lookups per partition.  The partitions read are
+    those with at most m parts, size one of the degrees of tau and first
+    part at most the largest exponent in tau, which holds every lambda with
+    c_lambda != 0.  Returns {partition: Fraction} with trailing zeros
+    stripped from keys.
     """
     m = tau.m
+    coeffs = tau.coeffs
     delta = tuple(range(m - 1, -1, -1))
-    alternant = _alternant(m, delta).items()
+    shifts = [(tuple(map(sub, delta, d)), sign)
+              for d, sign in _alternant(m, delta).items()]
+    largest = max(itertools.chain.from_iterable(coeffs), default=0)
     out = {}
-    for e, c in tau.coeffs.items():
-        for d, sign in alternant:
-            mu = tuple(map(add, e, d))
-            if all(mu[i] > mu[i + 1] for i in range(m - 1)):
-                lam = tuple(x - y for x, y in zip(mu, delta) if x > y)
-                out[lam] = out.get(lam, 0) + c * sign
-    return {lam: c for lam, c in out.items() if c}
+    for degree in sorted({sum(e) for e in coeffs}):
+        for lam in _partitions(degree, m, largest):
+            c = sum(sign * coeffs.get(tuple(map(add, lam, shift)), 0)
+                    for shift, sign in shifts)
+            if c:
+                out[tuple(x for x in lam if x)] = c
+    return out
 
 
 def schur_integral_oracle(m, n, tau):

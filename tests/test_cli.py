@@ -4,13 +4,16 @@ Everything runs in-process through resloc.cli.run so stdout and stderr are
 captured exactly as a shell user would see them.
 """
 
+import itertools
 import json
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from resloc.cli import run
 from resloc.jfun import i_function, j_projective, mirror_normalize
+from resloc.schubert import grassmann_integral_residue
+from resloc.sympoly import SymPoly
 
 
 def invoke(capsys, argv):
@@ -214,6 +217,66 @@ def test_tau_errors_are_usage_errors(capsys):
                                    "--tau", "q1 +"])
     assert code == 2
     assert "at position" in err
+
+
+def test_lopsided_power_is_not_symmetric(capsys):
+    # q1^5 vanishes in H*(G(2, 5)); the symmetry check must still see it
+    code, out, err = invoke(capsys, ["schubert", "--m", "2", "--n", "5",
+                                     "--tau", "q1^5"])
+    assert (code, out) == (2, "")
+    assert err.startswith("NotSymmetric: ")
+    assert "swapping q1 and q2" in err
+
+
+def _schubert_value(capsys, m, n, tau):
+    code, out, err = invoke(capsys, ["schubert", "--m", str(m), "--n", str(n),
+                                     "--tau", tau])
+    assert (code, err) == (0, ""), (m, n, tau)
+    header, value = out.split()
+    assert header == "value"
+    return int(value)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_schubert_degree_is_hook_length_count(capsys, m):
+    # deg G(m, n) in the Pluecker embedding counts standard tableaux of the
+    # m x (n-m) box: (m(n-m))! over the product of its hook lengths
+    for n in range(m + 1, 9):
+        k = n - m
+        hooks = 1
+        for i, j in itertools.product(range(m), range(k)):
+            hooks *= (m - i) + (k - j) - 1
+        expected = factorial(m * k) // hooks
+        assert _schubert_value(capsys, m, n, "sigma(1)^%d" % (m * k)) \
+            == expected, (m, n)
+
+
+def _conjugate(lam):
+    return tuple(sum(1 for x in lam if x > j) for j in range(max(lam)))
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_schubert_duality_with_g2n(capsys, n):
+    # G(n-2, n) = G(2, n) exchanges sigma_lambda with sigma_(lambda'); the
+    # left side runs the Schur oracle for n >= 5, the right the residue.
+    # Classes have at most three rows: sigma of r rows expands r! products.
+    m, dim = n - 2, 2 * (n - 2)
+    rows = min(m, 3)
+    box = [lam for lam in (
+        (2,) * a + (1,) * b for a in range(rows + 1)
+        for b in range(rows + 1 - a)) if lam]
+    for lam, mu in itertools.combinations_with_replacement(box, 2):
+        k = dim - sum(lam) - sum(mu)
+        if k < 0:
+            continue
+        tau = "sigma(%s)*sigma(%s)*sigma(1)^%d" % (
+            ",".join(map(str, lam)), ",".join(map(str, mu)), k)
+        dual = SymPoly.from_schur(2, _conjugate(lam)) * SymPoly.from_schur(
+            2, _conjugate(mu))
+        for _ in range(k):
+            dual = dual * SymPoly.from_schur(2, (1,))
+        assert _schubert_value(capsys, m, n, tau) \
+            == grassmann_integral_residue(n, dual), (n, lam, mu)
 
 
 def test_repeated_weight_is_usage_error(capsys):

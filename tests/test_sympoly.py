@@ -1,7 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resloc.errors import NotSymmetric
@@ -10,6 +11,7 @@ from resloc.ring import Ring
 from resloc.sympoly import (SymPoly, complete_homogeneous, monomial_symmetric,
                             schur_expand, schur_integral_oracle, schur_poly,
                             sym_power_top_chern)
+from resloc.tau_parser import parse_tau
 
 
 def test_complete_homogeneous():
@@ -134,3 +136,59 @@ def test_schur_products_expand_integrally(lam, mu):
     for c in coeffs.values():
         assert c.denominator == 1
         assert c >= 0
+
+
+def test_raw_builders_keep_int_coefficients():
+    for m, k in ((1, 3), (3, 0), (3, 4)):
+        assert all(type(c) is int for c in complete_homogeneous(m, k).values())
+    for m, lam in ((2, (2, 1)), (3, (3, 1, 1)), (4, (2, 2))):
+        assert all(type(c) is int for c in schur_poly(m, lam).values())
+    # SymPoly still stores Fractions, whatever the parser built them from
+    tau = parse_tau("sigma(2,1)*sigma(1)^2 + 3*q1*q2*q3", 3)
+    assert tau.coeffs
+    assert all(type(c) is Fraction for c in tau.coeffs.values())
+
+
+def _schur_expand_reference(tau):
+    """Every monomial of tau times every term of the alternant a_delta."""
+    m = tau.m
+    delta = tuple(range(m - 1, -1, -1))
+    out = {}
+    for sigma in itertools.permutations(range(m)):
+        sign = (-1) ** sum(1 for i, j in itertools.combinations(range(m), 2)
+                           if sigma[i] > sigma[j])
+        d = tuple(delta[s] for s in sigma)
+        for e, c in tau.coeffs.items():
+            mu = tuple(x + y for x, y in zip(e, d))
+            if all(mu[i] > mu[i + 1] for i in range(m - 1)):
+                lam = tuple(x - y for x, y in zip(mu, delta) if x > y)
+                out[lam] = out.get(lam, 0) + c * sign
+    return {lam: c for lam, c in out.items() if c}
+
+
+@st.composite
+def symmetric_polys(draw):
+    """Fraction combinations of monomial orbits of mixed degrees, or zero."""
+    m = draw(st.integers(1, 4))
+    orbits = draw(st.lists(
+        st.tuples(st.lists(st.integers(0, 4), min_size=m, max_size=m),
+                  st.fractions(min_value=-5, max_value=5,
+                               max_denominator=6)),
+        max_size=4))
+    tau = SymPoly(m, {})
+    for exps, c in orbits:
+        tau = tau + SymPoly.from_monomial_orbit(
+            m, sorted(exps, reverse=True)) * c
+    return tau
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_polys(), st.integers(1, 4))
+@example(SymPoly(4, {}), 1)
+def test_schur_expand_matches_reference(tau, extra):
+    expansion = schur_expand(tau)
+    assert expansion == _schur_expand_reference(tau)
+    n = tau.m + extra
+    box = (n - tau.m,) * tau.m
+    assert schur_integral_oracle(tau.m, n, tau) == expansion.get(box, 0)
+
