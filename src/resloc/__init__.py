@@ -18,9 +18,9 @@ from .qseries import QSeries, qs_compose, qs_exp
 from .reconstruct import (QuantumMatrix, Relation, TwoPointTable, qh_relation,
                           quantum_mult_matrix, reconstruct_two_point)
 from .ring import CohClass, Ring
-from .schubert import (WeightVector, ZetaTable, closed_form_m2,
-                       default_weight_samples, fiberdim, flag_band,
-                       flag_pushforward_extract, grassmann_integral_residue,
+from .schubert import (ZetaTable, closed_form_m2, default_weight_samples,
+                       fiberdim, flag_band, flag_pushforward_extract,
+                       grassmann_integral_residue,
                        verify_euler_pushforward_identity,
                        verify_grassmann_pushforward)
 from .sympoly import (SymPoly, schur_expand, schur_integral_oracle,
@@ -44,7 +44,6 @@ __all__ = [
     "RingSpec",
     "SymPoly",
     "TwoPointTable",
-    "WeightVector",
     "ZetaTable",
     "closed_form_m2",
     "default_weight_samples",

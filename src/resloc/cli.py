@@ -19,9 +19,9 @@ from .fmt import fmt_fraction, fmt_tuple, parse_tuple
 from .jfun import (i_function, j_product, j_projective, mirror_normalize,
                    pull_to_hypersurface)
 from .reconstruct import qh_relation, quantum_mult_matrix, reconstruct_two_point
-from .schubert import (WeightVector, default_weight_samples, fiberdim,
-                       flag_band, flag_pushforward_extract,
-                       grassmann_integral_residue, verify_grassmann_pushforward)
+from .schubert import (default_weight_samples, fiberdim, flag_band,
+                       flag_pushforward_extract, grassmann_integral_residue,
+                       verify_grassmann_pushforward)
 from .sympoly import schur_integral_oracle
 from .tau_parser import parse_tau
 
@@ -173,8 +173,6 @@ def _run_flag_table(args):
         if args.samples < 1:
             raise UsageError("--samples must be >= 1")
         samples = default_weight_samples(args.m, args.samples)
-    for s in samples or ():
-        WeightVector(s)
     ztable = flag_pushforward_extract(args.m, args.n, samples)
     verified = None
     if args.verify_tau is not None:

@@ -7,14 +7,17 @@ the combination
                + F_d(-t) * prod_i (H_i - d_i t)^(a_i)
 
 is polynomial in t, so the strictly negative part of the known terms
-determines G_d.  The known terms of one degree d are built for every basis
-exponent a together: per split, F_d2(-t) is flipped once and the argument
-for a is the one for a - e_i times a single factor (H_i - d2_i t); nothing
-is kept across degrees but the table itself.  The recursion and
-TwoPointTable.residual read the same per-degree routine.  G_d applied to an
-argument adds each scaled G_d(H^e) into one coefficient table.  Degree
-vectors come from Ring.monomials in graded order, which fixes the row order
-of the CLI reports.
+determines G_d.  One reconstruction builds the arguments
+F_d2(-t) * prod_i (H_i - d2_i t)^(a_i) of each degree d2 once, for every basis
+exponent a together, the first time a degree needs them (as the direct term
+or as the d2 of a split), and keeps them as flat (t-exponent, exps, Fraction)
+triples until the table is complete.  G_d1 applied to an argument adds each
+scaled G_d1(H^e) into one flat coefficient table per a, keyed by
+(t-exponent, exps), which becomes a LaurentClass once; TwoPointTable.apply
+and the recursion share that accumulator, and the recursion and
+TwoPointTable.residual read the same per-degree routine.  Degree vectors come
+from Ring.monomials in graded order, which fixes the row order of the CLI
+reports.
 
 The k = 0 coefficient of G pairs to 2-point invariants, which assemble
 quantum multiplication by a divisor through the divisor axiom (the one
@@ -30,7 +33,7 @@ from .fmt import fmt_fraction, fmt_tuple
 from .geometry import integrate
 from .laurent import LaurentClass, neg_part
 from .linalg import ExactSolver
-from .ring import Ring, poly_add, poly_mul
+from .ring import CohClass, Ring, poly_add, poly_mul
 
 
 def _degree_vectors(nvars, trunc):
@@ -86,29 +89,50 @@ class TwoPointTable:
         return tuple(a)
 
     def invariant(self, a, b, d):
-        """The 2-point invariant: integral of H^b * g_{d,a,0} over the target."""
+        """The 2-point invariant: integral of H^b * g_{d,a,0} over the target.
+
+        That is norm * g_{d,a,0}[top - b], one coefficient.  When the ring's
+        total-degree bound drops the top monomial, or b is not a basis
+        exponent, the product H^b * g_{d,a,0} is formed and integrated.
+        """
         d = self._as_degree(d)
         a = self._as_exps(a)
         b = self._as_exps(b)
         ring = self.ring_spec.ring
-        cls = ring.monomial(b, 1) * self.g(d, a, 0)
-        return integrate(cls)
+        g = self.g(d, a, 0)
+        top = ring.top_exp
+        if ring.admits(b) and ring.admits(top):
+            return g.coeff(tuple(map(sub, top, b))) * ring.norm
+        return integrate(ring.monomial(b, 1) * g)
 
     def apply(self, d, arg):
         """G_d on a Laurent-class argument, by linearity in the first factor.
 
-        Every term c * t^j * H^e of the argument adds c * t^j * G_d(H^e) into
-        one coefficient table, so no partial sum is copied.
+        The argument is flattened to (t-exponent, exps, Fraction) triples and
+        summed by the same accumulator the recursion uses.
         """
         d = self._as_degree(d)
-        out = {}
-        for j, coh in arg.terms.items():
-            for exps, c in coh.coeffs.items():
-                for k, g in self.series(d, exps).terms.items():
-                    s = out.get(j + k)
-                    out[j + k] = g * c if s is None else s + g * c
-        return LaurentClass(self.ring_spec.ring,
-                            {j: v for j, v in out.items() if v})
+        acc = {}
+        self._accumulate(acc, d, [(j, e, c) for j, coh in arg.terms.items()
+                                  for e, c in coh.coeffs.items()])
+        return _laurent(self.ring_spec.ring, acc)
+
+    def _accumulate(self, acc, d, triples):
+        """Add c * t^j * G_d(H^e) for every triple (j, e, c) into acc.
+
+        acc maps (t-exponent, exps) to a Fraction; entries may cancel to 0.
+        """
+        table = self.table
+        for j, e, c in triples:
+            series = table.get((d, e))
+            if series is None:
+                continue
+            for k, coh in series.terms.items():
+                jk = j + k
+                for ge, gc in coh.coeffs.items():
+                    key = (jk, ge)
+                    s = acc.get(key)
+                    acc[key] = c * gc if s is None else s + c * gc
 
     def residual(self, jfun, d, a):
         """Negative part of the full recursion expression; zero iff consistent.
@@ -119,7 +143,7 @@ class TwoPointTable:
         """
         d = self._as_degree(d)
         a = self._as_exps(a)
-        expr = self.series(d, a) + _known_parts(self, jfun, d)[a]
+        expr = self.series(d, a) + _known_parts(self, jfun, d, {})[a]
         return neg_part(expr)
 
 
@@ -130,50 +154,85 @@ def _splits(d):
             if any(d1) and d1 != d]
 
 
-def _known_parts(table, jfun, d):
+def _laurent(ring, acc):
+    """LaurentClass from {(t-exponent, exps): Fraction}, zeros dropped."""
+    terms = {}
+    for (j, e), c in acc.items():
+        if c:
+            terms.setdefault(j, {})[e] = c
+    return LaurentClass(ring, {j: CohClass(ring, coeffs)
+                               for j, coeffs in terms.items()})
+
+
+def _known_parts(table, jfun, d, arguments):
     """Convolution plus direct term for every basis exponent a at degree d.
 
     That is everything in the recursion expression except G_d.  The direct
-    term, as d2 = d, and each split (d1, d2) flip F_d2 once and build their
-    arguments for all a together (see _arguments).
+    term and every G_d1(argument of d2) are summed into one flat table per
+    a.  arguments caches _arguments by degree; a missing degree is built
+    and stored.
     """
-    ring = table.ring_spec.ring
-    monos = table.ring_spec.monomials()
-    unit = table.d_beta_unit
-    total = _arguments(ring, monos, jfun.coefficient(d).flip_t(), d, unit)
+    def arguments_of(d2):
+        if d2 not in arguments:
+            arguments[d2] = _arguments(table, jfun, d2)
+        return arguments[d2]
+
+    sums = {a: {(j, e): c for j, e, c in triples}
+            for a, triples in arguments_of(d).items()}
     for d1, d2 in _splits(d):
-        args = _arguments(ring, monos, jfun.coefficient(d2).flip_t(), d2, unit)
-        for a in monos:
-            total[a] = total[a] + table.apply(d1, args[a])
-    return total
+        for a, triples in arguments_of(d2).items():
+            table._accumulate(sums[a], d1, triples)
+    ring = table.ring_spec.ring
+    return {a: _laurent(ring, acc) for a, acc in sums.items()}
 
 
-def _arguments(ring, monos, flipped, d2, unit):
-    """flipped * prod_i (H_i - d2_i * unit * t)^(a_i) for every a in monos.
+def _arguments(table, jfun, d2):
+    """F_d2(-t) * prod_i (H_i - d2_i * unit * t)^(a_i) for every basis a.
 
-    The argument for a is the one for a - e_i, i its first nonzero slot,
-    times one linear factor; monos lists a - e_i before a.
+    Each argument is a list of (t-exponent, exps, Fraction) triples.  The
+    argument for a is the one for a - e_i, i its first nonzero slot, times
+    one linear factor; the basis lists a - e_i before a.
     """
-    factors = [LaurentClass.from_coh(ring.generator(g))
-               - LaurentClass.t_power(ring, 1, di * unit)
-               for g, di in zip(ring.gens, d2)]
+    monos = table.ring_spec.monomials()
+    basis = {m: m for m in monos}
+    # raised[i][e] is e + e_i as the basis' own tuple, for every basis e
+    # whose raise is still a basis exponent
+    raised = [{e: basis[up] for e in monos
+               if (up := e[:i] + (e[i] + 1,) + e[i + 1:]) in basis}
+              for i in range(len(d2))]
+    unit = table.d_beta_unit
     args = {}
     for a in monos:
         i = next((i for i, e in enumerate(a) if e), None)
         if i is None:
-            args[a] = flipped
-        else:
-            prev = a[:i] + (a[i] - 1,) + a[i + 1:]
-            args[a] = args[prev] * factors[i]
-    return args
+            args[a] = {(j, e): c if j % 2 == 0 else -c
+                       for j, coh in jfun.coefficient(d2).terms.items()
+                       for e, c in coh.coeffs.items()}
+            continue
+        up = raised[i]
+        shift = -d2[i] * unit
+        out = {}
+        for (j, e), c in args[a[:i] + (a[i] - 1,) + a[i + 1:]].items():
+            if e in up:
+                out[j, up[e]] = out.get((j, up[e]), 0) + c
+            if shift:
+                out[j + 1, e] = out.get((j + 1, e), 0) + shift * c
+        args[a] = out
+    return {a: [(j, e, c) for (j, e), c in acc.items() if c]
+            for a, acc in args.items()}
 
 
 def reconstruct_two_point(jfun, d_beta_unit=1):
-    """Build the two-point table from a J-function, degree by degree."""
+    """Build the two-point table from a J-function, degree by degree.
+
+    The arguments of each degree are built once, the first time a degree
+    needs them, and kept until the table is complete.
+    """
     spec = jfun.ring_spec
     table = TwoPointTable(spec, jfun.trunc, d_beta_unit, {})
+    arguments = {}
     for d in _degree_vectors(spec.nvars, jfun.trunc):
-        for a, known in _known_parts(table, jfun, d).items():
+        for a, known in _known_parts(table, jfun, d, arguments).items():
             table.table[(d, a)] = -neg_part(known)
     return table
 
@@ -236,6 +295,7 @@ def quantum_mult_matrix(table, divisor_index=0):
     top = ring.top_exp
     norm = ring.norm
     zero_deg = (0,) * spec.nvars
+    degrees = table.degrees()
     entries = {}
     for a in monos:
         column = {}
@@ -244,7 +304,7 @@ def quantum_mult_matrix(table, divisor_index=0):
         shifted = tuple(shifted)
         if ring.admits(shifted):
             column[shifted] = {zero_deg: Fraction(1)}
-        for d in table.degrees():
+        for d in degrees:
             ddiv = d[divisor_index] * table.d_beta_unit
             if ddiv == 0:
                 continue

@@ -51,48 +51,14 @@ def combined_ring(m, n):
     return Ring(gens, (n,) + (band + 1,) * (m - 1), Fraction(1))
 
 
-class WeightVector:
-    """Distinct integer torus weights w_1..w_m."""
-
-    __slots__ = ("weights",)
-
-    def __init__(self, weights):
-        weights = tuple(int(w) for w in weights)
-        if len(set(weights)) != len(weights):
-            raise RepeatedWeight("weights %r contain a repeat" % (weights,))
-        object.__setattr__(self, "weights", weights)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightVector is immutable")
-
-    def __len__(self):
-        return len(self.weights)
-
-    def __getitem__(self, i):
-        return self.weights[i]
-
-    def __iter__(self):
-        return iter(self.weights)
-
-    def __eq__(self, other):
-        if isinstance(other, WeightVector):
-            return self.weights == other.weights
-        if isinstance(other, tuple):
-            return self.weights == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.weights)
-
-    def __repr__(self):
-        return "WeightVector%r" % (self.weights,)
-
-
 def _as_weights(w, m):
-    wv = w if isinstance(w, WeightVector) else WeightVector(w)
-    if len(wv) != m:
-        raise ValueError("expected %d weights, got %d" % (m, len(wv)))
-    return wv
+    """Distinct integer torus weights w_1..w_m, as a tuple."""
+    weights = tuple(int(x) for x in w)
+    if len(set(weights)) != len(weights):
+        raise RepeatedWeight("weights %r contain a repeat" % (weights,))
+    if len(weights) != m:
+        raise ValueError("expected %d weights, got %d" % (m, len(weights)))
+    return weights
 
 
 def _check_perm(perm, m):
@@ -139,8 +105,8 @@ def projective_fixed_locus_euler(i, w, n):
 
     prod_(s != i) (h + t_s - t_i)^n over Q[h]/(h^n), with t_i = w_i * t.
     """
-    wv = WeightVector(w) if not isinstance(w, WeightVector) else w
-    m = len(wv)
+    m = len(w)
+    wv = _as_weights(w, m)
     if not 1 <= i <= m:
         raise ValueError("index i out of range")
     ring = pv_ring(n)

@@ -8,20 +8,25 @@ line counts of Ellingsrud and Stromme (1996).
 """
 
 import json
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resloc import reconstruct
 from resloc.errors import NoRelationFound
-from resloc.geometry import RingSpec
+from resloc.geometry import RingSpec, integrate
 from resloc.jfun import (i_function, j_product, j_projective,
                          mirror_normalize, pull_to_hypersurface)
-from resloc.laurent import LaurentClass
-from resloc.reconstruct import (QuantumMatrix, Relation, qh_relation,
-                                quantum_mult_matrix, reconstruct_two_point)
+from resloc.laurent import LaurentClass, neg_part
+from resloc.reconstruct import (QuantumMatrix, Relation, TwoPointTable,
+                                qh_relation, quantum_mult_matrix,
+                                reconstruct_two_point)
+from resloc.ring import Ring
 from resloc.schubert import grassmann_integral_residue
 from resloc.sympoly import SymPoly, sym_power_top_chern
 
@@ -31,9 +36,13 @@ SNAPSHOT = Path(__file__).parent / "snapshots" / "quintic_two_point.json"
 QUINTIC_N = (2875, 609250, 317206375, 242467530000, 229305888887625)
 
 
-def hypersurface_table(n, l, trunc):
+def hypersurface_jfun(n, l, trunc):
     md = mirror_normalize(i_function(n, l, trunc))
-    return reconstruct_two_point(pull_to_hypersurface(md.pushed, l))
+    return pull_to_hypersurface(md.pushed, l)
+
+
+def hypersurface_table(n, l, trunc):
+    return reconstruct_two_point(hypersurface_jfun(n, l, trunc))
 
 
 def quintic_table(trunc):
@@ -115,6 +124,31 @@ def test_invariant_symmetry():
             for a in spec.monomials():
                 for b in spec.monomials():
                     assert table.invariant(a, b, d) == table.invariant(b, a, d)
+
+
+def test_invariant_reads_top_coefficient():
+    # the one-coefficient read equals integrating H^b * g_{d,a,0}
+    for table in [reconstruct_two_point(j_projective(2, 2)), p1xp1_table(2),
+                  reconstruct_two_point(p1xp2_jfun(4)), quintic_table(3)]:
+        spec = table.ring_spec
+        ring = spec.ring
+        for d in table.degrees():
+            for a in spec.monomials():
+                for b in spec.monomials():
+                    assert table.invariant(a, b, d) == integrate(
+                        ring.monomial(b) * table.g(d, a, 0)), (d, a, b)
+
+
+def test_invariant_total_bound_drops_top():
+    # with H1*H2 cut by the total-degree bound, H^b * g has no top monomial
+    ring = Ring(("H1", "H2"), (2, 2), total=1)
+    p1 = RingSpec.projective(1)
+    spec = RingSpec("product", components=(p1, p1), ring=ring)
+    g = LaurentClass.from_coh(ring.generator("H1") + ring.generator("H2"), -1)
+    table = TwoPointTable(spec, 1, 1, {((1, 0), (0, 0)): g})
+    assert table.g((1, 0), (0, 0), 0).coeff((0, 1)) == 1
+    for b in [(0, 0), (1, 0), (0, 1)]:
+        assert table.invariant((0, 0), b, (1, 0)) == 0
 
 
 def test_invariant_dimension_window():
@@ -326,3 +360,59 @@ def test_apply_is_termwise_sum(case):
         arg = arg + LaurentClass.from_coh(ring.monomial(e, c), j)
         want = want + table.series(d, e).shift(j) * c
     assert table.apply(d, arg) == want
+
+
+def known_terms(table, jfun, d, a):
+    """Everything in the recursion expression but G_d(H^a), term by term.
+
+    F_d2(-t) * prod_i (H_i - d2_i t)^(a_i) for d2 = d, plus G_d1 of that
+    argument for every split d1 + d2 = d, with G_d1 applied by linearity:
+    c * t^j * H^e goes to c * t^j * G_d1(H^e).
+    """
+    ring = table.ring_spec.ring
+
+    def argument(d2):
+        out = jfun.coefficient(d2).flip_t()
+        for gen, di, ai in zip(ring.gens, d2, a):
+            factor = (LaurentClass.from_coh(ring.generator(gen))
+                      - LaurentClass.t_power(ring, 1, di))
+            out = out * factor ** ai
+        return out
+
+    total = argument(d)
+    for d1 in product(*(range(v + 1) for v in d)):
+        if not any(d1) or d1 == d:
+            continue
+        d2 = tuple(x - y for x, y in zip(d, d1))
+        for j, coh in argument(d2).terms.items():
+            for e, c in coh.coeffs.items():
+                total = total + table.series(d1, e).shift(j) * c
+    return total
+
+
+@pytest.mark.parametrize("case", ["P1xP1", "P1xP2", "quintic"])
+def test_recursion_recomputed_in_laurent_arithmetic(case):
+    jfun = {"P1xP1": lambda: j_product(j_projective(1, 3), j_projective(1, 3)),
+            "P1xP2": lambda: p1xp2_jfun(3),
+            "quintic": lambda: hypersurface_jfun(4, 5, 2)}[case]()
+    table = reconstruct_two_point(jfun)
+    for d in table.degrees():
+        for a in table.ring_spec.monomials():
+            assert -neg_part(known_terms(table, jfun, d, a)) \
+                == table.series(d, a), (d, a)
+
+
+def test_arguments_built_once_per_degree(monkeypatch):
+    built = Counter()
+    original = reconstruct._arguments
+
+    def counting(table, jfun, d2):
+        built[d2] += 1
+        return original(table, jfun, d2)
+
+    monkeypatch.setattr(reconstruct, "_arguments", counting)
+    for jfun in [j_product(j_projective(1, 4), j_projective(1, 4)),
+                 hypersurface_jfun(4, 5, 3)]:
+        built.clear()
+        table = reconstruct_two_point(jfun)
+        assert built == Counter(table.degrees())

@@ -6,7 +6,7 @@ import pytest
 from resloc.errors import MissingZetaEntry, RepeatedWeight
 from resloc.laurent import LaurentClass, laurent_invert
 from resloc.ring import CohClass
-from resloc.schubert import (WeightVector, ZetaTable, _flag_euler_inverse,
+from resloc.schubert import (ZetaTable, _as_weights, _flag_euler_inverse,
                              closed_form_m2, default_weight_samples, fiberdim,
                              flag_band, flag_fixed_locus_euler,
                              flag_pushforward_extract,
@@ -18,10 +18,10 @@ from resloc.sympoly import (SymPoly, monomial_symmetric, schur_integral_oracle,
 
 
 def test_weight_vector():
-    w = WeightVector((0, 1, 3))
+    w = _as_weights((0, 1, 3), 3)
     assert tuple(w) == (0, 1, 3)
     with pytest.raises(RepeatedWeight):
-        WeightVector((0, 1, 1))
+        _as_weights((0, 1, 1), 3)
 
 
 def test_default_samples_distinct():
@@ -103,7 +103,7 @@ def test_extraction_weight_independent(m, n):
 def test_closed_form_flag_inverse_matches_generic(m):
     # unsorted weights, so some c_s and factors of S are negative
     n = 5
-    w = WeightVector((5, -1, 2, 9)[:m])
+    w = _as_weights((5, -1, 2, 9)[:m], m)
     band = flag_band(m, n)
     for perm in itertools.permutations(range(1, m + 1)):
         generic = laurent_invert(flag_fixed_locus_euler(perm, w, n))
