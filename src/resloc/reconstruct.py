@@ -7,17 +7,15 @@ the combination
                + F_d(-t) * prod_i (H_i - d_i t)^(a_i)
 
 is polynomial in t, so the strictly negative part of the known terms
-determines G_d.  One reconstruction builds the arguments
-F_d2(-t) * prod_i (H_i - d2_i t)^(a_i) of each degree d2 once, for every basis
-exponent a together, the first time a degree needs them (as the direct term
-or as the d2 of a split), and keeps them as flat (t-exponent, exps, Fraction)
-triples until the table is complete.  G_d1 applied to an argument adds each
-scaled G_d1(H^e) into one flat coefficient table per a, keyed by
-(t-exponent, exps), which becomes a LaurentClass once; TwoPointTable.apply
-and the recursion share that accumulator, and the recursion and
-TwoPointTable.residual read the same per-degree routine.  Degree vectors come
-from Ring.monomials in graded order, which fixes the row order of the CLI
-reports.
+determines G_d.  The recursion runs in integers.  Each degree's arguments
+F_d(-t) * prod_i (H_i - d_i t)^(a_i) are built once per reconstruction, as
+numerators over the denominator of F_d, and each stored G_d(H^e) is read as
+numerators over the lcm of its denominators; the known terms of one (d, a)
+are summed over one common denominator, as TwoPointTable.apply sums its
+argument.  TwoPointTable.residual re-evaluates the expression in LaurentClass
+arithmetic instead.  Degree vectors come from Ring.monomials in graded order,
+which fixes the row order of the CLI reports and lists every split's degrees
+before their sum.
 
 The k = 0 coefficient of G pairs to 2-point invariants, which assemble
 quantum multiplication by a divisor through the divisor axiom (the one
@@ -25,7 +23,9 @@ imported fact external to the residue formalism).
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
+from math import lcm
 from operator import sub
 
 from .errors import Inconsistent, NoRelationFound, RankDeficient
@@ -108,42 +108,38 @@ class TwoPointTable:
     def apply(self, d, arg):
         """G_d on a Laurent-class argument, by linearity in the first factor.
 
-        The argument is flattened to (t-exponent, exps, Fraction) triples and
-        summed by the same accumulator the recursion uses.
+        The argument is written as integer numerators over one denominator
+        and summed by the same accumulator the recursion uses, with the
+        integer forms of this table's entries built on demand.
         """
         d = self._as_degree(d)
-        acc = {}
-        self._accumulate(acc, d, [(j, e, c) for j, coh in arg.terms.items()
-                                  for e, c in coh.coeffs.items()])
-        return _laurent(self.ring_spec.ring, acc)
-
-    def _accumulate(self, acc, d, triples):
-        """Add c * t^j * G_d(H^e) for every triple (j, e, c) into acc.
-
-        acc maps (t-exponent, exps) to a Fraction; entries may cancel to 0.
-        """
-        table = self.table
-        for j, e, c in triples:
-            series = table.get((d, e))
-            if series is None:
-                continue
-            for k, coh in series.terms.items():
-                jk = j + k
-                for ge, gc in coh.coeffs.items():
-                    key = (jk, ge)
-                    s = acc.get(key)
-                    acc[key] = c * gc if s is None else s + c * gc
+        return _accumulate(self.ring_spec.ring, (1, []),
+                           [(*_integer_form(arg), d)], _form_reader(self))
 
     def residual(self, jfun, d, a):
         """Negative part of the full recursion expression; zero iff consistent.
 
-        Re-evaluates G_d(H^a) + convolution + direct term.  G_d enters both
-        directly and through earlier degrees, so a zero residual is a real
-        consistency statement, not a restatement of the construction.
+        Evaluates G_d(H^a) + convolution + direct term in LaurentClass
+        arithmetic, apart from the integer route that built the table, so a
+        zero residual checks the construction instead of restating it.
         """
         d = self._as_degree(d)
         a = self._as_exps(a)
-        expr = self.series(d, a) + _known_parts(self, jfun, d, {})[a]
+        ring = self.ring_spec.ring
+
+        def argument(d2):
+            out = jfun.coefficient(d2).flip_t()
+            for gen, di, ai in zip(ring.gens, d2, a):
+                out = out * (LaurentClass.from_coh(ring.generator(gen))
+                             - LaurentClass.t_power(
+                                 ring, 1, di * self.d_beta_unit)) ** ai
+            return out
+
+        expr = self.series(d, a) + argument(d)
+        for d1, d2 in _splits(d):
+            for j, coh in argument(d2).terms.items():
+                for e, c in coh.coeffs.items():
+                    expr = expr + self.series(d1, e).shift(j) * c
         return neg_part(expr)
 
 
@@ -154,44 +150,53 @@ def _splits(d):
             if any(d1) and d1 != d]
 
 
-def _laurent(ring, acc):
-    """LaurentClass from {(t-exponent, exps): Fraction}, zeros dropped."""
+def _integer_form(series):
+    """(L, [(t-exponent, exps, int)]) whose numerators over L sum to series."""
+    den = lcm(*{c.denominator for coh in series.terms.values()
+                for c in coh.coeffs.values()})
+    return den, [(j, e, c.numerator * (den // c.denominator))
+                 for j, coh in series.terms.items()
+                 for e, c in coh.coeffs.items()]
+
+
+def _form_reader(table):
+    """(d, e) -> integer form of the stored G_d(H^e), built on first read."""
+    zero = LaurentClass.zero(table.ring_spec.ring)
+    return cache(lambda key: _integer_form(table.table.get(key, zero)))
+
+
+def _accumulate(ring, direct, parts, form):
+    """direct + sum of G_d1(argument) over parts, as one LaurentClass.
+
+    direct is an integer form (L, [(t-exponent, exps, int)]); each part is
+    an argument's integer form and the degree d1 of the G applied to it.
+    All terms are summed over one common denominator, and each surviving
+    coefficient becomes one reduced Fraction.
+    """
+    pairs = [(den * g[0], j, n, g[1]) for den, nums, d1 in parts
+             for j, e, n in nums if (g := form((d1, e)))[1]]
+    den = lcm(direct[0], *{p[0] for p in pairs})
+    acc = {(j, e): n * (den // direct[0]) for j, e, n in direct[1]}
+    for pden, j, n, gnums in pairs:
+        n *= den // pden
+        for k, ge, gn in gnums:
+            acc[j + k, ge] = acc.get((j + k, ge), 0) + n * gn
     terms = {}
-    for (j, e), c in acc.items():
-        if c:
-            terms.setdefault(j, {})[e] = c
+    for (j, e), n in acc.items():
+        if n:
+            terms.setdefault(j, {})[e] = Fraction(n, den)
     return LaurentClass(ring, {j: CohClass(ring, coeffs)
                                for j, coeffs in terms.items()})
-
-
-def _known_parts(table, jfun, d, arguments):
-    """Convolution plus direct term for every basis exponent a at degree d.
-
-    That is everything in the recursion expression except G_d.  The direct
-    term and every G_d1(argument of d2) are summed into one flat table per
-    a.  arguments caches _arguments by degree; a missing degree is built
-    and stored.
-    """
-    def arguments_of(d2):
-        if d2 not in arguments:
-            arguments[d2] = _arguments(table, jfun, d2)
-        return arguments[d2]
-
-    sums = {a: {(j, e): c for j, e, c in triples}
-            for a, triples in arguments_of(d).items()}
-    for d1, d2 in _splits(d):
-        for a, triples in arguments_of(d2).items():
-            table._accumulate(sums[a], d1, triples)
-    ring = table.ring_spec.ring
-    return {a: _laurent(ring, acc) for a, acc in sums.items()}
 
 
 def _arguments(table, jfun, d2):
     """F_d2(-t) * prod_i (H_i - d2_i * unit * t)^(a_i) for every basis a.
 
-    Each argument is a list of (t-exponent, exps, Fraction) triples.  The
-    argument for a is the one for a - e_i, i its first nonzero slot, times
-    one linear factor; the basis lists a - e_i before a.
+    Each argument is an integer form (L, [(t-exponent, exps, int)]); one L
+    clears the denominators of F_d2 and serves every a, since the linear
+    factors have integer coefficients.  The argument for a is the one for
+    a - e_i, i its first nonzero slot, times one linear factor; the basis
+    lists a - e_i before a.
     """
     monos = table.ring_spec.monomials()
     basis = {m: m for m in monos}
@@ -201,38 +206,43 @@ def _arguments(table, jfun, d2):
                if (up := e[:i] + (e[i] + 1,) + e[i + 1:]) in basis}
               for i in range(len(d2))]
     unit = table.d_beta_unit
+    den, nums = _integer_form(jfun.coefficient(d2))
     args = {}
     for a in monos:
         i = next((i for i, e in enumerate(a) if e), None)
         if i is None:
-            args[a] = {(j, e): c if j % 2 == 0 else -c
-                       for j, coh in jfun.coefficient(d2).terms.items()
-                       for e, c in coh.coeffs.items()}
+            args[a] = {(j, e): n if j % 2 == 0 else -n
+                       for j, e, n in nums}
             continue
         up = raised[i]
         shift = -d2[i] * unit
         out = {}
-        for (j, e), c in args[a[:i] + (a[i] - 1,) + a[i + 1:]].items():
+        for (j, e), n in args[a[:i] + (a[i] - 1,) + a[i + 1:]].items():
             if e in up:
-                out[j, up[e]] = out.get((j, up[e]), 0) + c
+                out[j, up[e]] = out.get((j, up[e]), 0) + n
             if shift:
-                out[j + 1, e] = out.get((j + 1, e), 0) + shift * c
+                out[j + 1, e] = out.get((j + 1, e), 0) + shift * n
         args[a] = out
-    return {a: [(j, e, c) for (j, e), c in acc.items() if c]
+    return {a: (den, [(j, e, n) for (j, e), n in acc.items() if n])
             for a, acc in args.items()}
 
 
 def reconstruct_two_point(jfun, d_beta_unit=1):
     """Build the two-point table from a J-function, degree by degree.
 
-    The arguments of each degree are built once, the first time a degree
-    needs them, and kept until the table is complete.
+    Each degree's arguments and each entry's integer form are built once
+    and kept, outside the table, until the table is complete.
     """
     spec = jfun.ring_spec
     table = TwoPointTable(spec, jfun.trunc, d_beta_unit, {})
     arguments = {}
+    form = _form_reader(table)
     for d in _degree_vectors(spec.nvars, jfun.trunc):
-        for a, known in _known_parts(table, jfun, d, arguments).items():
+        arguments[d] = _arguments(table, jfun, d)
+        splits = [(d1, arguments[d2]) for d1, d2 in _splits(d)]
+        for a, direct in arguments[d].items():
+            known = _accumulate(spec.ring, direct, [
+                (*args[a], d1) for d1, args in splits], form)
             table.table[(d, a)] = -neg_part(known)
     return table
 
@@ -429,14 +439,12 @@ def qh_relation(matrix):
 
 def _solve_dependence(powers, k, deg_slices, nvars):
     """Solve v_k = sum_(j<k) c_j(q) v_j for polynomial c_j, degree by degree."""
+    zero = (0,) * nvars
     coeffs = {j: {} for j in range(k)}
     for deg in deg_slices:
-        m = sum(deg)
         # rhs = degree slice of v_k minus contributions of already-solved orders
-        rhs = {}
-        for row, poly in powers[k].items():
-            if deg in poly:
-                rhs[row] = poly[deg]
+        rhs = {row: poly[deg] for row, poly in powers[k].items()
+               if deg in poly}
         for j in range(k):
             # every already-solved order contributes a known cross-term
             for deg1, c1 in coeffs[j].items():
@@ -449,21 +457,13 @@ def _solve_dependence(powers, k, deg_slices, nvars):
         solver = ExactSolver()
         rows = set(rhs)
         for j in range(k):
-            rows.update(_rows_at(powers[j], (0,) * nvars))
+            rows.update(row for row, poly in powers[j].items() if zero in poly)
         for row in sorted(rows):
-            eq = {}
-            for j in range(k):
-                zero = (0,) * nvars
-                c = powers[j].get(row, {}).get(zero)
-                if c:
-                    eq[j] = c
-            solver.add_equation(eq, rhs.get(row, 0))
+            solver.add_equation({j: c for j in range(k)
+                                 if (c := powers[j].get(row, {}).get(zero))},
+                                rhs.get(row, 0))
         sol = solver.solution(list(range(k)))
         for j in range(k):
             if sol[j]:
                 coeffs[j][deg] = sol[j]
     return coeffs
-
-
-def _rows_at(vec, deg):
-    return [row for row, poly in vec.items() if deg in poly]

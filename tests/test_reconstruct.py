@@ -14,13 +14,13 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resloc import reconstruct
 from resloc.errors import NoRelationFound
 from resloc.geometry import RingSpec, integrate
-from resloc.jfun import (i_function, j_product, j_projective,
+from resloc.jfun import (JFunction, i_function, j_product, j_projective,
                          mirror_normalize, pull_to_hypersurface)
 from resloc.laurent import LaurentClass, neg_part
 from resloc.reconstruct import (QuantumMatrix, Relation, TwoPointTable,
@@ -330,8 +330,59 @@ def test_no_relation_found():
         qh_relation(m)
 
 
+# denominators for the hostile-coefficient strategies: small primes and
+# primes just below 10^6, so unrelated terms share no factor
+PRIMES = [p for p in list(range(2, 60)) + list(range(999_000, 1_000_000))
+          if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+HOSTILE_SPECS = {"P2": RingSpec.projective(2),
+                 "P1xP1": RingSpec.product([RingSpec.projective(1)] * 2),
+                 "P1xP2": RingSpec.product([RingSpec.projective(1),
+                                            RingSpec.projective(2)])}
+
+
+def synthetic_jfunction(name, trunc, terms):
+    """F_0 = 1 and F_d = sum of c * t^j * H^e over terms[(d, j, e)] = c."""
+    spec = HOSTILE_SPECS[name]
+    ring = spec.ring
+    coeffs = {(0,) * spec.nvars: LaurentClass.one(ring)}
+    for (d, j, e), c in terms.items():
+        coeffs[d] = (coeffs.get(d, LaurentClass.zero(ring))
+                     + LaurentClass.from_coh(ring.monomial(e, c), j))
+    return JFunction(spec, trunc, coeffs)
+
+
+@st.composite
+def hostile_jfunctions(draw):
+    # random Laurent coefficients with t-exponents <= -2, each over its own
+    # prime denominator
+    name = draw(st.sampled_from(sorted(HOSTILE_SPECS)))
+    spec = HOSTILE_SPECS[name]
+    trunc = draw(st.integers(1, 3))
+    slots = [(d, j, e)
+             for d in product(range(trunc + 1), repeat=spec.nvars)
+             if 0 < sum(d) <= trunc
+             for j in range(-5, -1) for e in spec.monomials()]
+    chosen = draw(st.lists(st.sampled_from(slots), unique=True, max_size=10))
+    size = len(chosen)
+    primes = draw(st.lists(st.sampled_from(PRIMES), unique=True,
+                           min_size=size, max_size=size))
+    nums = draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                         min_size=size, max_size=size))
+    return synthetic_jfunction(
+        name, trunc, {slot: Fraction(n, p)
+                      for slot, n, p in zip(chosen, nums, primes)})
+
+
+HOSTILE_P1XP2 = synthetic_jfunction(
+    "P1xP2", 2, {((1, 0), -2, (0, 1)): Fraction(5, 999_983),
+                 ((1, 0), -3, (1, 0)): Fraction(-2, 7),
+                 ((0, 1), -2, (0, 0)): Fraction(3, 999_979),
+                 ((0, 1), -4, (1, 2)): Fraction(1, 999_961),
+                 ((1, 1), -3, (0, 2)): Fraction(7, 53),
+                 ((0, 2), -2, (1, 1)): Fraction(-1, 999_953)})
 APPLY_TABLES = {"P2": reconstruct_two_point(j_projective(2, 2)),
-                "P1xP1": p1xp1_table(2)}
+                "P1xP1": p1xp1_table(2),
+                "hostile P1xP2": reconstruct_two_point(HOSTILE_P1XP2)}
 
 
 @st.composite
@@ -340,7 +391,9 @@ def apply_cases(draw):
     spec = table.ring_spec
     monos = spec.monomials()
     d = draw(st.sampled_from(table.degrees()))
-    coeffs = st.fractions(-9, 9, max_denominator=4)
+    coeffs = st.one_of(st.fractions(-9, 9, max_denominator=4),
+                       st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                                 st.sampled_from(PRIMES)))
     terms = draw(st.dictionaries(st.tuples(st.integers(-3, 3),
                                            st.sampled_from(monos)),
                                  coeffs, max_size=8))
@@ -416,3 +469,58 @@ def test_arguments_built_once_per_degree(monkeypatch):
         built.clear()
         table = reconstruct_two_point(jfun)
         assert built == Counter(table.degrees())
+
+
+@settings(max_examples=60, deadline=None)
+@given(hostile_jfunctions())
+# every coefficient zero
+@example(synthetic_jfunction("P2", 2, {((1,), -2, (0,)): Fraction(0),
+                                       ((2,), -3, (1,)): Fraction(0)}))
+# c * t^-3 * H_i - c * t^-2 in a degree d with d_i = 1 makes the t^-2 * H_i
+# terms of the argument for H_i cancel
+@example(synthetic_jfunction("P2", 2, {((1,), -3, (1,)): Fraction(1, 999_983),
+                                       ((1,), -2, (0,)): Fraction(-1, 999_983),
+                                       ((2,), -4, (0,)): Fraction(1, 3)}))
+# the same on both factors of P1xP2
+@example(synthetic_jfunction("P1xP2", 3,
+                             {((1, 0), -3, (1, 0)): Fraction(2, 999_979),
+                              ((1, 0), -2, (0, 0)): Fraction(-2, 999_979),
+                              ((0, 1), -3, (0, 1)): Fraction(1, 999_961),
+                              ((0, 1), -2, (0, 0)): Fraction(-1, 999_961),
+                              ((1, 1), -2, (1, 2)): Fraction(1, 2)}))
+def test_reconstruction_exact_with_hostile_denominators(jfun):
+    table = reconstruct_two_point(jfun)
+    for d in table.degrees():
+        for a in table.ring_spec.monomials():
+            assert table.series(d, a) \
+                == -neg_part(known_terms(table, jfun, d, a)), (d, a)
+    assert all(type(c) is Fraction for series in table.table.values()
+               for coh in series.terms.values() for c in coh.coeffs.values())
+
+
+def test_reconstruction_keeps_no_state_beyond_the_table():
+    jfun = p1xp2_jfun(3)
+    table = reconstruct_two_point(jfun)
+    spec = table.ring_spec
+    assert type(table) is TwoPointTable
+    assert TwoPointTable.__slots__ == ("ring_spec", "trunc", "d_beta_unit",
+                                       "table")
+    assert not hasattr(table, "__dict__")
+    assert set(table.table) == {(d, a) for d in table.degrees()
+                                for a in spec.monomials()}
+    assert all(type(s) is LaurentClass for s in table.table.values())
+    # apply builds what it reads on demand: on this table after another
+    # reconstruction, and on a copy no reconstruction has seen
+    reconstruct_two_point(j_projective(2, 2))
+    copy = TwoPointTable(spec, table.trunc, table.d_beta_unit,
+                         dict(table.table))
+    ring = spec.ring
+    c = Fraction(1, 999_983)
+    arg = (LaurentClass.from_coh(ring.monomial((0, 1), c), 2)
+           + LaurentClass.t_power(ring, -1, Fraction(-3, 7)))
+    for d in table.degrees():
+        want = (table.series(d, (0, 1)).shift(2) * c
+                + table.series(d, (0, 0)).shift(-1) * Fraction(-3, 7))
+        assert table.apply(d, arg) == want
+        assert copy.apply(d, arg) == want
+    assert set(table.table) == set(copy.table)
