@@ -71,11 +71,12 @@ def _build_parser():
                                           "table pi(zeta^A)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--weights", action="append", default=None,
-                   metavar="W0,W1,...",
-                   help="weight sample (repeatable); default: generated")
-    p.add_argument("--samples", type=int, default=None,
-                   help="number of generated weight samples")
+    weights = p.add_mutually_exclusive_group()
+    weights.add_argument("--weights", action="append", default=None,
+                         metavar="W0,W1,...",
+                         help="weight sample (repeatable); default: generated")
+    weights.add_argument("--samples", type=int, default=None,
+                         help="number of generated weight samples")
     p.add_argument("--verify-tau", default=None, metavar="EXPR",
                    help="also verify the residue identity for this class")
     p.add_argument("--experimental", action="store_true",
@@ -169,7 +170,7 @@ def _run_flag_table(args):
     if args.m < 2 or args.n <= args.m:
         raise UsageError("need 2 <= m < n")
     samples = _parse_weight_samples(args)
-    if samples is None and args.samples is not None:
+    if args.samples is not None:
         if args.samples < 1:
             raise UsageError("--samples must be >= 1")
         samples = default_weight_samples(args.m, args.samples)

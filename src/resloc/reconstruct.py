@@ -11,11 +11,11 @@ determines G_d.  The recursion runs in integers.  Each degree's arguments
 F_d(-t) * prod_i (H_i - d_i t)^(a_i) are built once per reconstruction, as
 numerators over the denominator of F_d, and each stored G_d(H^e) is read as
 numerators over the lcm of its denominators; the known terms of one (d, a)
-are summed over one common denominator, as TwoPointTable.apply sums its
-argument.  TwoPointTable.residual re-evaluates the expression in LaurentClass
-arithmetic instead.  Degree vectors come from Ring.monomials in graded order,
-which fixes the row order of the CLI reports and lists every split's degrees
-before their sum.
+are summed over one common denominator.  TwoPointTable.residual is the
+independent evaluator: it re-evaluates the expression in LaurentClass
+arithmetic from the stored table alone.  Degree vectors come from
+Ring.monomials in graded order, which fixes the row order of the CLI reports
+and lists every split's degrees before their sum.
 
 The k = 0 coefficient of G pairs to 2-point invariants, which assemble
 quantum multiplication by a divisor through the divisor axiom (the one
@@ -23,7 +23,6 @@ imported fact external to the residue formalism).
 """
 
 from fractions import Fraction
-from functools import cache
 from itertools import product
 from math import lcm
 from operator import sub
@@ -42,6 +41,14 @@ def _degree_vectors(nvars, trunc):
     return Ring(gens, [trunc + 1] * nvars, total=trunc).monomials()[1:]
 
 
+def _as_tuple(v, arity, what):
+    """v (an int or a sequence) as a tuple of the given arity."""
+    v = (v,) if isinstance(v, int) else tuple(v)
+    if len(v) != arity:
+        raise ValueError("%s arity %d, expected %d" % (what, len(v), arity))
+    return v
+
+
 class TwoPointTable:
     """Table of two-point series G_d(H^a, t) = sum_k g_{d,a,k} t^(-k-1).
 
@@ -50,12 +57,11 @@ class TwoPointTable:
     window checked by tests, not by construction.
     """
 
-    __slots__ = ("ring_spec", "trunc", "d_beta_unit", "table")
+    __slots__ = ("ring_spec", "trunc", "table")
 
-    def __init__(self, ring_spec, trunc, d_beta_unit, table):
+    def __init__(self, ring_spec, trunc, table):
         self.ring_spec = ring_spec
         self.trunc = int(trunc)
-        self.d_beta_unit = int(d_beta_unit)
         self.table = dict(table)
 
     def degrees(self):
@@ -75,18 +81,10 @@ class TwoPointTable:
         return sorted(-j - 1 for j in self.series(d, a).terms)
 
     def _as_degree(self, d):
-        if isinstance(d, int):
-            d = (d,)
-        d = tuple(d)
-        if len(d) != self.ring_spec.nvars:
-            raise ValueError("degree arity %d, expected %d"
-                             % (len(d), self.ring_spec.nvars))
-        return d
+        return _as_tuple(d, self.ring_spec.nvars, "degree")
 
     def _as_exps(self, a):
-        if isinstance(a, int):
-            a = (a,)
-        return tuple(a)
+        return _as_tuple(a, len(self.ring_spec.ring.gens), "exponent")
 
     def invariant(self, a, b, d):
         """The 2-point invariant: integral of H^b * g_{d,a,0} over the target.
@@ -105,23 +103,13 @@ class TwoPointTable:
             return g.coeff(tuple(map(sub, top, b))) * ring.norm
         return integrate(ring.monomial(b, 1) * g)
 
-    def apply(self, d, arg):
-        """G_d on a Laurent-class argument, by linearity in the first factor.
-
-        The argument is written as integer numerators over one denominator
-        and summed by the same accumulator the recursion uses, with the
-        integer forms of this table's entries built on demand.
-        """
-        d = self._as_degree(d)
-        return _accumulate(self.ring_spec.ring, (1, []),
-                           [(*_integer_form(arg), d)], _form_reader(self))
-
     def residual(self, jfun, d, a):
         """Negative part of the full recursion expression; zero iff consistent.
 
         Evaluates G_d(H^a) + convolution + direct term in LaurentClass
-        arithmetic, apart from the integer route that built the table, so a
-        zero residual checks the construction instead of restating it.
+        arithmetic, sharing nothing with the integer route that built the
+        table but the table itself, so a zero residual checks the
+        construction instead of restating it.
         """
         d = self._as_degree(d)
         a = self._as_exps(a)
@@ -131,13 +119,14 @@ class TwoPointTable:
             out = jfun.coefficient(d2).flip_t()
             for gen, di, ai in zip(ring.gens, d2, a):
                 out = out * (LaurentClass.from_coh(ring.generator(gen))
-                             - LaurentClass.t_power(
-                                 ring, 1, di * self.d_beta_unit)) ** ai
+                             - LaurentClass.t_power(ring, 1, di)) ** ai
             return out
 
         expr = self.series(d, a) + argument(d)
-        for d1, d2 in _splits(d):
-            for j, coh in argument(d2).terms.items():
+        for d1 in product(*(range(v + 1) for v in d)):
+            if not any(d1) or d1 == d:
+                continue
+            for j, coh in argument(tuple(map(sub, d, d1))).terms.items():
                 for e, c in coh.coeffs.items():
                     expr = expr + self.series(d1, e).shift(j) * c
         return neg_part(expr)
@@ -159,22 +148,17 @@ def _integer_form(series):
                  for e, c in coh.coeffs.items()]
 
 
-def _form_reader(table):
-    """(d, e) -> integer form of the stored G_d(H^e), built on first read."""
-    zero = LaurentClass.zero(table.ring_spec.ring)
-    return cache(lambda key: _integer_form(table.table.get(key, zero)))
-
-
-def _accumulate(ring, direct, parts, form):
+def _accumulate(ring, direct, parts, forms):
     """direct + sum of G_d1(argument) over parts, as one LaurentClass.
 
     direct is an integer form (L, [(t-exponent, exps, int)]); each part is
-    an argument's integer form and the degree d1 of the G applied to it.
+    an argument's integer form and the degree d1 of the G applied to it;
+    forms maps (d1, e) to the integer form of each nonzero G_d1(H^e).
     All terms are summed over one common denominator, and each surviving
     coefficient becomes one reduced Fraction.
     """
     pairs = [(den * g[0], j, n, g[1]) for den, nums, d1 in parts
-             for j, e, n in nums if (g := form((d1, e)))[1]]
+             for j, e, n in nums if (g := forms.get((d1, e)))]
     den = lcm(direct[0], *{p[0] for p in pairs})
     acc = {(j, e): n * (den // direct[0]) for j, e, n in direct[1]}
     for pden, j, n, gnums in pairs:
@@ -189,8 +173,8 @@ def _accumulate(ring, direct, parts, form):
                                for j, coeffs in terms.items()})
 
 
-def _arguments(table, jfun, d2):
-    """F_d2(-t) * prod_i (H_i - d2_i * unit * t)^(a_i) for every basis a.
+def _arguments(jfun, d2):
+    """F_d2(-t) * prod_i (H_i - d2_i * t)^(a_i) for every basis a.
 
     Each argument is an integer form (L, [(t-exponent, exps, int)]); one L
     clears the denominators of F_d2 and serves every a, since the linear
@@ -198,14 +182,13 @@ def _arguments(table, jfun, d2):
     a - e_i, i its first nonzero slot, times one linear factor; the basis
     lists a - e_i before a.
     """
-    monos = table.ring_spec.monomials()
+    monos = jfun.ring_spec.monomials()
     basis = {m: m for m in monos}
     # raised[i][e] is e + e_i as the basis' own tuple, for every basis e
     # whose raise is still a basis exponent
     raised = [{e: basis[up] for e in monos
                if (up := e[:i] + (e[i] + 1,) + e[i + 1:]) in basis}
               for i in range(len(d2))]
-    unit = table.d_beta_unit
     den, nums = _integer_form(jfun.coefficient(d2))
     args = {}
     for a in monos:
@@ -215,7 +198,7 @@ def _arguments(table, jfun, d2):
                        for j, e, n in nums}
             continue
         up = raised[i]
-        shift = -d2[i] * unit
+        shift = -d2[i]
         out = {}
         for (j, e), n in args[a[:i] + (a[i] - 1,) + a[i + 1:]].items():
             if e in up:
@@ -227,23 +210,25 @@ def _arguments(table, jfun, d2):
             for a, acc in args.items()}
 
 
-def reconstruct_two_point(jfun, d_beta_unit=1):
+def reconstruct_two_point(jfun):
     """Build the two-point table from a J-function, degree by degree.
 
-    Each degree's arguments and each entry's integer form are built once
-    and kept, outside the table, until the table is complete.
+    Each degree's arguments and each nonzero entry's integer form are built
+    once and kept, outside the table, until the table is complete.
     """
     spec = jfun.ring_spec
-    table = TwoPointTable(spec, jfun.trunc, d_beta_unit, {})
+    table = TwoPointTable(spec, jfun.trunc, {})
     arguments = {}
-    form = _form_reader(table)
+    forms = {}
     for d in _degree_vectors(spec.nvars, jfun.trunc):
-        arguments[d] = _arguments(table, jfun, d)
+        arguments[d] = _arguments(jfun, d)
         splits = [(d1, arguments[d2]) for d1, d2 in _splits(d)]
         for a, direct in arguments[d].items():
             known = _accumulate(spec.ring, direct, [
-                (*args[a], d1) for d1, args in splits], form)
-            table.table[(d, a)] = -neg_part(known)
+                (*args[a], d1) for d1, args in splits], forms)
+            entry = table.table[(d, a)] = -neg_part(known)
+            if entry:
+                forms[d, a] = _integer_form(entry)
     return table
 
 
@@ -254,13 +239,12 @@ class QuantumMatrix:
     H^row in H_div * H^col; the q^0 part is the classical cup product.
     """
 
-    __slots__ = ("ring_spec", "trunc", "divisor_index", "basis", "entries")
+    __slots__ = ("ring_spec", "trunc", "divisor_index", "entries")
 
-    def __init__(self, ring_spec, trunc, divisor_index, basis, entries):
+    def __init__(self, ring_spec, trunc, divisor_index, entries):
         self.ring_spec = ring_spec
         self.trunc = int(trunc)
         self.divisor_index = int(divisor_index)
-        self.basis = list(basis)
         self.entries = entries
 
     def entry(self, row, col):
@@ -274,22 +258,6 @@ class QuantumMatrix:
                 out[row] = poly_add(out.get(row, {}),
                                     poly_mul(entry_poly, poly, total=self.trunc))
         return {row: poly for row, poly in out.items() if poly}
-
-    def to_json(self):
-        matrix = {}
-        for col in self.basis:
-            column = {}
-            for row in self.basis:
-                poly = self.entries.get(col, {}).get(row)
-                if poly:
-                    column[fmt_tuple(row)] = {
-                        fmt_tuple(deg): fmt_fraction(poly[deg])
-                        for deg in sorted(poly)}
-            matrix[fmt_tuple(col)] = column
-        return {"ring": self.ring_spec.to_json(), "D": self.trunc,
-                "divisor": self.ring_spec.ring.gens[self.divisor_index],
-                "basis": [fmt_tuple(b) for b in self.basis],
-                "matrix": matrix}
 
 
 def quantum_mult_matrix(table, divisor_index=0):
@@ -315,7 +283,7 @@ def quantum_mult_matrix(table, divisor_index=0):
         if ring.admits(shifted):
             column[shifted] = {zero_deg: Fraction(1)}
         for d in degrees:
-            ddiv = d[divisor_index] * table.d_beta_unit
+            ddiv = d[divisor_index]
             if ddiv == 0:
                 continue
             for b in monos:
@@ -326,7 +294,7 @@ def quantum_mult_matrix(table, divisor_index=0):
                 # each (row, degree) pair is met once, so nothing accumulates
                 column.setdefault(dual, {})[d] = Fraction(ddiv) * val / norm
         entries[a] = column
-    return QuantumMatrix(spec, table.trunc, divisor_index, monos, entries)
+    return QuantumMatrix(spec, table.trunc, divisor_index, entries)
 
 
 class Relation:

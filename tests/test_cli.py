@@ -315,3 +315,11 @@ def test_env_default_order_invalid(capsys, monkeypatch):
 def test_unknown_subcommand_exits():
     with pytest.raises(SystemExit):
         run(["frobnicate"])
+
+
+def test_weights_and_samples_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["flag-table", "--m", "2", "--n", "4", "--weights", "0,1",
+             "--samples", "3"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
