@@ -9,10 +9,7 @@ from fractions import Fraction
 
 
 def fmt_fraction(x):
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+    return str(Fraction(x))
 
 
 def fmt_tuple(t):

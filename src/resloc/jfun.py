@@ -101,31 +101,20 @@ def j_product(j1, j2):
 
     parts = flatten(j1.ring_spec) + flatten(j2.ring_spec)
     spec = RingSpec.product(parts)
-    offset1 = len(j1.ring_spec.ring.gens)
+    ring = spec.ring
+
+    def embed(lc, offset):
+        return lc.map_coefficients(lambda c: ring.embed(c, offset), ring)
+
+    right = {d2: embed(c2, len(j1.ring_spec.ring.gens))
+             for d2, c2 in j2.terms.items()}
     coeffs = {}
     for d1, c1 in j1.terms.items():
-        e1 = _embed_block(spec, 0, c1)
-        for d2, c2 in j2.terms.items():
-            if sum(d1) + sum(d2) > j1.trunc:
-                continue
-            e2 = _embed_block(spec, offset1, c2)
-            coeffs[d1 + d2] = e1 * e2
+        e1 = embed(c1, 0)
+        for d2, e2 in right.items():
+            if sum(d1) + sum(d2) <= j1.trunc:
+                coeffs[d1 + d2] = e1 * e2
     return JFunction(spec, j1.trunc, coeffs)
-
-
-def _embed_block(spec, offset, lc):
-    """Re-key a factor coefficient into the product ring at a generator offset."""
-    ring = spec.ring
-    width = len(ring.gens)
-    out = {}
-    for t_exp, coh in lc.terms.items():
-        coeffs = {}
-        for e, v in coh.coeffs.items():
-            exps = [0] * width
-            exps[offset:offset + len(e)] = list(e)
-            coeffs[tuple(exps)] = v
-        out[t_exp] = CohClass(ring, coeffs)
-    return LaurentClass(ring, out)
 
 
 class IFunction(JFunction):
@@ -145,30 +134,24 @@ class IFunction(JFunction):
 
 
 def i_function(n, l, trunc):
-    """I_d = prod_(k=0..dl) (lH + kt) * inverse of prod_(k=1..d) (H + kt)^(n+1).
+    """I_d = N_d * F_d(P^n) with N_d = prod_(k=0..dl) (lH + kt).
 
-    The k = 0 numerator factor contributes the uniform lH, so I_0 = lH and
-    every coefficient is divisible by H.
+    F_d is the j_projective coefficient, so the denominators are built and
+    inverted once, there.  The k = 0 numerator factor contributes the
+    uniform lH, so I_0 = lH and every coefficient is divisible by H.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
     if not 1 <= l <= n + 1:
         raise ValueError("need 1 <= l <= n + 1")
-    if trunc < 0:
-        raise ValueError("truncation must be >= 0")
-    spec = RingSpec.projective(n)
-    ring = spec.ring
-    h = LaurentClass.from_coh(ring.generator("H"))
-    lh = h * Fraction(l)
+    j = j_projective(n, trunc)
+    ring = j.ring
+    lh = LaurentClass.from_coh(ring.generator("H") * l)
     coeffs = {(0,): lh}
     numer = lh
-    denom = LaurentClass.one(ring)
     for d in range(1, trunc + 1):
         for k in range((d - 1) * l + 1, d * l + 1):
             numer = numer * (lh + LaurentClass.t_power(ring, 1, k))
-        denom = denom * (h + LaurentClass.t_power(ring, 1, d)) ** (n + 1)
-        coeffs[(d,)] = numer * laurent_invert(denom)
-    return IFunction(spec, l, trunc, coeffs)
+        coeffs[(d,)] = numer * j.terms[(d,)]
+    return IFunction(j.ring_spec, l, trunc, coeffs)
 
 
 class MirrorData:
@@ -189,21 +172,12 @@ class MirrorData:
                 "normalized": self.pushed.to_json()}
 
 
-def _apply_mirror(i_series, ring, trunc, a, b, c):
+def _apply_mirror(i_series, a, b, c):
     """exp(b + (c + H a)/t) * I(q exp(a)) at the current corrections."""
-    h_coh = ring.generator("H")
-    exponent = QSeries.zero(ring, 1, trunc)
-    for (d,), v in b.terms.items():
-        exponent = exponent + QSeries(ring, 1, trunc, {(d,): v})
-    for (d,), v in c.terms.items():
-        exponent = exponent + QSeries(ring, 1, trunc, {(d,): v.shift(-1)})
-    for (d,), v in a.terms.items():
-        hv = v * h_coh
-        if not hv.is_zero():
-            exponent = exponent + QSeries(ring, 1, trunc, {(d,): hv.shift(-1)})
-    prefactor = qs_exp(exponent)
-    substituted = qs_compose(i_series, a)
-    return prefactor * substituted
+    ring = i_series.ring
+    exponent = (b + c * LaurentClass.t_power(ring, -1)
+                + a * LaurentClass.from_coh(ring.generator("H"), -1))
+    return qs_exp(exponent) * qs_compose(i_series, a)
 
 
 def mirror_normalize(i_fun):
@@ -273,7 +247,7 @@ def mirror_normalize(i_fun):
                         for d, v in enumerate(values) if v})
 
     a, b, c = scalar_series(a), scalar_series(b), scalar_series(c)
-    jhat = _apply_mirror(i_fun, ring, trunc, a, b, c)
+    jhat = _apply_mirror(i_fun, a, b, c)
     lh = LaurentClass.from_coh(ring.generator("H") * l)
     if jhat.coefficient((0,)) != lh:
         raise NormalizationFailed("degree-0 term is %r, expected %r"

@@ -9,8 +9,10 @@ sparse dictionaries mapping exponent tuples to nonzero Fractions.
 
 poly_add and poly_mul are the one sparse-dictionary arithmetic of the package:
 CohClass, the raw polynomials of sympoly, QSeries and the q-polynomials of
-reconstruct all run through them.  All arithmetic is exact; there is no
-floating point anywhere in this package.
+reconstruct all run through them.  LaurentClass.__mul__ keeps its own
+t-product loop, which skips coefficient products that come out zero.
+Ring.embed is the one way to re-key a class into a wider ring.  All
+arithmetic is exact; there is no floating point anywhere in this package.
 """
 
 from fractions import Fraction
@@ -157,6 +159,17 @@ class Ring:
         if c == 0:
             return CohClass(self, {})
         return CohClass(self, {exps: c})
+
+    def embed(self, c, offset):
+        """c with its generators moved to this ring's, starting at offset."""
+        width = len(c.ring.gens)
+        pad = len(self.gens) - offset - width
+        if offset < 0 or pad < 0:
+            raise ValueError("%d generators do not fit in %r at offset %d"
+                             % (width, self, offset))
+        before, after = (0,) * offset, (0,) * pad
+        return CohClass(self, {before + e + after: v
+                               for e, v in c.coeffs.items()})
 
     def generator(self, name):
         if name not in self.gens:

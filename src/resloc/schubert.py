@@ -66,6 +66,12 @@ def _check_perm(perm, m):
         raise ValueError("%r is not a permutation of 1..%d" % (perm, m))
 
 
+def _flags_from(i, m):
+    """Fixed flags (permutations of 1..m) with first line i, in lex order."""
+    rest = [k for k in range(1, m + 1) if k != i]
+    return [(i,) + p for p in itertools.permutations(rest)]
+
+
 def default_weight_samples(m, count):
     """Deterministic pairwise-distinct, mutually non-proportional weights."""
     return [tuple((s + 2) ** i - 1 for i in range(m)) for s in range(count)]
@@ -263,15 +269,13 @@ def flag_pushforward_extract(m, n, weight_samples=None):
         raise ValueError("at least one weight sample is required")
 
     solver = ExactSolver()
-    perms = list(itertools.permutations(range(1, m + 1)))
     ring = pv_ring(n)
     h = ring.generator("h")
     for wv in samples:
         for i in range(1, m + 1):
             lhs = LaurentClass.zero(zeta_ring(m, n))
-            for perm in perms:
-                if perm[0] == i:
-                    lhs = lhs + _flag_euler_inverse(perm, wv, n)
+            for perm in _flags_from(i, m):
+                lhs = lhs + _flag_euler_inverse(perm, wv, n)
             rhs = LaurentClass.one(ring)
             for s in range(m):
                 if s != i - 1:
@@ -292,9 +296,7 @@ def verify_euler_pushforward_identity(m, n, ztable, w):
     ring = pv_ring(n)
     for i in range(1, m + 1):
         lhs = None
-        for perm in itertools.permutations(range(1, m + 1)):
-            if perm[0] != i:
-                continue
+        for perm in _flags_from(i, m):
             inv = laurent_invert(flag_fixed_locus_euler(perm, wv, n))
             lhs = inv if lhs is None else lhs + inv
         pushed = lhs.map_coefficients(ztable.push_zeta, ring)
@@ -302,13 +304,6 @@ def verify_euler_pushforward_identity(m, n, ztable, w):
         if pushed != rhs:
             return False
     return True
-
-
-def _embed_zeta_combined(c, cring):
-    out = {}
-    for exps, v in c.coeffs.items():
-        out[(0,) + exps] = v
-    return CohClass(cring, out)
 
 
 def verify_grassmann_pushforward(m, n, tau, w, ztable):
@@ -339,12 +334,9 @@ def verify_grassmann_pushforward(m, n, tau, w, ztable):
     h_p = LaurentClass.from_coh(ring.generator("h"))
     for i in range(1, m + 1):
         lhs = LaurentClass.zero(ring)
-        for perm in itertools.permutations(range(1, m + 1)):
-            if perm[0] != i:
-                continue
-            euler = flag_fixed_locus_euler(perm, wv, n)
-            euler = euler.map_coefficients(
-                lambda c: _embed_zeta_combined(c, cring), cring)
+        for perm in _flags_from(i, m):
+            euler = flag_fixed_locus_euler(perm, wv, n).map_coefficients(
+                lambda c: cring.embed(c, 1), cring)
             prod = tau_tilde * laurent_invert(euler)
             lhs = lhs + prod.map_coefficients(ztable.push_combined, ring)
         rhs_args = [h_p + LaurentClass.t_power(ring, 1, wv[s] - wv[i - 1])

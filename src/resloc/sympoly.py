@@ -9,7 +9,8 @@ integrals.
 
 Raw polynomials keep whatever exact coefficients they are built from: the
 builders below give int coefficients from int inputs, so products of parsed
-expressions run in integer arithmetic.  SymPoly stores Fractions.
+expressions run in integer arithmetic.  SymPoly keeps its coefficients as
+given, so the Schur expansion and the oracle stay in integers too.
 """
 
 import itertools
@@ -126,29 +127,25 @@ class SymPoly:
 
     def __init__(self, m, coeffs):
         self.m = int(m)
-        raw = {}
-        clean = {}
+        out = {}
         for e, c in coeffs.items():
             e = tuple(map(int, e))
             if len(e) != self.m:
                 raise ValueError("exponent tuple %r has wrong arity" % (e,))
             if min(e, default=0) < 0:
                 raise ValueError("negative exponent in %r" % (e,))
-            f = as_fraction(c)
-            if f:
-                raw[e] = c
-                clean[e] = f
-        # compared as given: int coefficients compare faster than Fractions
+            if as_fraction(c):
+                out[e] = c
         for i in range(self.m - 1):
-            for e, c in raw.items():
+            for e, c in out.items():
                 swapped = list(e)
                 swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                if raw.get(tuple(swapped), 0) != c:
+                if out.get(tuple(swapped), 0) != c:
                     raise NotSymmetric(
                         "not symmetric: swapping q%d and q%d changes the "
                         "coefficient of %r" % (i + 1, i + 2, e),
                         witness=(i + 1, i + 2))
-        self.coeffs = clean
+        self.coeffs = out
 
     @classmethod
     def from_schur(cls, m, partition):
@@ -289,8 +286,8 @@ def schur_expand(tau):
     Polynomials, I.3), m! lookups per partition.  The partitions read are
     those with at most m parts, size one of the degrees of tau and first
     part at most the largest exponent in tau, which holds every lambda with
-    c_lambda != 0.  Returns {partition: Fraction} with trailing zeros
-    stripped from keys.
+    c_lambda != 0.  Returns {partition: coefficient}, int or Fraction as in
+    tau, with trailing zeros stripped from keys.
     """
     m = tau.m
     coeffs = tau.coeffs
@@ -320,4 +317,4 @@ def schur_integral_oracle(m, n, tau):
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
     box = tuple(a for a in (n - m,) * m if a > 0)
-    return schur_expand(tau).get(box, Fraction(0))
+    return schur_expand(tau).get(box, 0)

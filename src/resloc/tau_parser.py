@@ -119,6 +119,8 @@ class _Parser:
                 return schur_poly(self.m, parts)
             except ValueError as exc:
                 raise TauSyntaxError(str(exc), at)
+            except OverflowError:
+                raise TauSyntaxError("sigma part too large", at)
         if name == "c_top_sym":
             if self.m != 2:
                 raise TauSyntaxError("c_top_sym needs m = 2, got m = %d"
@@ -150,12 +152,15 @@ class _Parser:
 def parse_tau(expr, m):
     """Parse a symmetric polynomial expression in m variables.
 
-    Raises TauSyntaxError with a position for malformed input and
-    NotSymmetric with a witness transposition for asymmetric input.
+    Raises TauSyntaxError with a position for malformed, too deeply nested or
+    oversized input and NotSymmetric with a witness for asymmetric input.
     """
     if m < 1:
         raise ValueError("need m >= 1")
     parser = _Parser(_tokenize(expr), m)
-    raw = parser.parse_expr()
+    try:
+        raw = parser.parse_expr()
+    except RecursionError:
+        raise TauSyntaxError("expression nested too deeply", parser.peek()[2])
     parser.expect_end()
     return SymPoly(m, raw)

@@ -9,6 +9,8 @@ import json
 from math import comb, factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from resloc.cli import run
 from resloc.jfun import i_function, j_projective, mirror_normalize
@@ -217,6 +219,35 @@ def test_tau_errors_are_usage_errors(capsys):
                                    "--tau", "q1 +"])
     assert code == 2
     assert "at position" in err
+
+
+CRASH_TAUS = ("(" * 1000 + "q1" + ")" * 1000, "sigma(99999999999999999999)")
+
+
+@pytest.mark.parametrize("tau", CRASH_TAUS)
+def test_overdeep_and_oversized_tau_exit_2(capsys, tau):
+    code, out, err = invoke(capsys, ["schubert", "--m", "2", "--n", "4",
+                                     "--tau=" + tau])
+    assert (code, out) == (2, "")
+    assert err.startswith("TauSyntaxError")
+
+
+TAU_TOKENS = ("q1", "q2", "q3", "sigma", "c_top_sym", "+", "-", "*", "^",
+              "(", ")", ",", "0", "1", "2", "3")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((2, 3)), st.integers(1, 3),
+       st.lists(st.sampled_from(TAU_TOKENS), max_size=12))
+@example(2, 2, [CRASH_TAUS[0]])
+@example(3, 2, [CRASH_TAUS[1]])
+def test_schubert_exit_code_is_documented(m, extra, tokens):
+    # space-separated tokens keep every integer literal at most 3; the
+    # --tau= form lets a leading "-" reach the parser instead of argparse
+    tau = " ".join(tokens)
+    code = run(["schubert", "--m", str(m), "--n", str(m + extra),
+                "--tau=" + tau])
+    assert code in (0, 2, 3), tau
 
 
 def test_lopsided_power_is_not_symmetric(capsys):

@@ -255,12 +255,12 @@ def _mirror_by_full_apply(i_fun):
     b = QSeries.zero(ring, 1, trunc)
     c = QSeries.zero(ring, 1, trunc)
     for d in range(1, trunc + 1):
-        fd = _apply_mirror(i_fun, ring, trunc, a, b, c).coefficient((d,))
+        fd = _apply_mirror(i_fun, a, b, c).coefficient((d,))
         for series, exps, j in ((b, (1,), 0), (c, (1,), -1), (a, (2,), -1)):
             v = fd.coeff(exps, j) / i_fun.l
             if v:
                 series.terms[(d,)] = LaurentClass.t_power(ring, 0, -v)
-    return a, b, c, _apply_mirror(i_fun, ring, trunc, a, b, c)
+    return a, b, c, _apply_mirror(i_fun, a, b, c)
 
 
 @pytest.mark.parametrize("n,l", [(3, 2), (4, 3), (3, 3), (4, 4), (3, 4),

@@ -78,6 +78,21 @@ def test_error_positions():
         assert "(at position %d)" % pos in str(exc.value), text
 
 
+def test_deep_nesting_is_a_syntax_error():
+    deep = "(" * 200 + "q1+q2" + ")" * 200
+    assert parse_tau(deep, 2) == parse_tau("q1+q2", 2)
+    with pytest.raises(TauSyntaxError) as exc:
+        parse_tau("(" * 1000 + "q1" + ")" * 1000, 2)
+    assert "nested too deeply" in str(exc.value)
+
+
+def test_oversized_sigma_part_is_a_syntax_error():
+    with pytest.raises(TauSyntaxError) as exc:
+        parse_tau("q1 + sigma(99999999999999999999)", 2)
+    assert exc.value.position == 5
+    assert "too large" in str(exc.value)
+
+
 def test_not_symmetric_witness():
     with pytest.raises(NotSymmetric) as exc:
         parse_tau("q1", 2)

@@ -206,6 +206,34 @@ def test_bool_is_nonzero():
     assert not LaurentClass.from_coh(h) - LaurentClass.from_coh(h)
 
 
+def test_embed_at_each_offset():
+    wide = Ring(("a", "b", "c"), (3, 4, 5))
+    one = Ring(("x",), (3,)).monomial((2,), Fraction(3, 4)) + 5
+    two = (Ring(("x", "y"), (3, 4)).monomial((1, 2), -2)
+           + Ring(("x", "y"), (3, 4)).monomial((2, 0), Fraction(7, 3)))
+    for offset in range(3):
+        exps = [0, 0, 0]
+        exps[offset] = 2
+        out = wide.embed(one, offset)
+        assert out.ring == wide
+        assert out.coeffs == {tuple(exps): Fraction(3, 4), (0, 0, 0): 5}
+    assert wide.embed(two, 0).coeffs == {(1, 2, 0): -2,
+                                         (2, 0, 0): Fraction(7, 3)}
+    assert wide.embed(two, 1).coeffs == {(0, 1, 2): -2,
+                                         (0, 2, 0): Fraction(7, 3)}
+    full = wide.monomial((2, 3, 4), 9) + wide.generator("b")
+    assert wide.embed(full, 0) == full
+
+
+@pytest.mark.parametrize("gens,offset", [(1, 3), (2, 2), (3, 1), (1, -1),
+                                         (4, 0)])
+def test_embed_past_the_generators_raises(gens, offset):
+    wide = Ring(("a", "b", "c"), (3, 4, 5))
+    c = Ring(tuple("uvwx")[:gens], (2,) * gens).one()
+    with pytest.raises(ValueError):
+        wide.embed(c, offset)
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_zeta_ring_total_bound_keeps_band(n):
     # inverting over the total-degree ring gives the per-generator ring's

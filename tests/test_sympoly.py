@@ -143,10 +143,27 @@ def test_raw_builders_keep_int_coefficients():
         assert all(type(c) is int for c in complete_homogeneous(m, k).values())
     for m, lam in ((2, (2, 1)), (3, (3, 1, 1)), (4, (2, 2))):
         assert all(type(c) is int for c in schur_poly(m, lam).values())
-    # SymPoly still stores Fractions, whatever the parser built them from
+    # SymPoly keeps its coefficients as given and rejects any other type
     tau = parse_tau("sigma(2,1)*sigma(1)^2 + 3*q1*q2*q3", 3)
     assert tau.coeffs
-    assert all(type(c) is Fraction for c in tau.coeffs.values())
+    assert all(type(c) is int for c in tau.coeffs.values())
+    halves = SymPoly(2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
+    assert all(type(c) is Fraction for c in halves.coeffs.values())
+    with pytest.raises(TypeError):
+        SymPoly(2, {(1, 1): 0.5})
+    # the oracle reads the same value from int and Fraction coefficients;
+    # sigma(1)^dim integrates to the hook-length count of the box; on G(3, 6)
+    # sigma(2)*sigma(1)^7 = f^(3,3,1) = 21 and sigma(3)^3 = 1 by Pieri
+    for m, n, text, want in ((3, 5, "sigma(2,1)^2", 1),
+                             (3, 6, "sigma(1)^9", 42),
+                             (4, 6, "sigma(1)^8", 14),
+                             (4, 7, "sigma(1)^12", 462),
+                             (3, 6, "sigma(2)*sigma(1)^7 - 2*sigma(3)^3", 19)):
+        tau = parse_tau(text, m)
+        as_fractions = SymPoly(m, {e: Fraction(c)
+                                   for e, c in tau.coeffs.items()})
+        value = schur_integral_oracle(m, n, tau)
+        assert value == schur_integral_oracle(m, n, as_fractions) == want
 
 
 def _schur_expand_reference(tau):
