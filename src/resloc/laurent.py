@@ -105,27 +105,26 @@ class LaurentClass:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            if c == 0:
-                return LaurentClass(self.ring, {})
-            return LaurentClass(self.ring,
-                                {j: v * c for j, v in self.terms.items()})
-        if isinstance(other, CohClass):
-            other = self._coerce(other)
         if not isinstance(other, LaurentClass):
-            return NotImplemented
+            if isinstance(other, (int, Fraction)):
+                if other == 0:
+                    return LaurentClass(self.ring, {})
+                return LaurentClass(self.ring,
+                                    {j: v * other for j, v in self.terms.items()})
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         self._check_ring(other)
         out = {}
         for j1, c1 in self.terms.items():
             for j2, c2 in other.terms.items():
                 j = j1 + j2
                 p = c1 * c2
-                if p.is_zero():
+                if not p.coeffs:
                     continue
                 s = out.get(j)
                 s = p if s is None else s + p
-                if s.is_zero():
+                if not s.coeffs:
                     out.pop(j, None)
                 else:
                     out[j] = s
@@ -191,17 +190,25 @@ def laurent_invert(e):
 
     Writing each coefficient as scalar plus nilpotent, the purely scalar part
     of e must consist of exactly one term c*t^k with c != 0.  Then
-    e = c*t^k*(1 + u) where every monomial of u carries a nilpotent generator,
-    so the geometric series for (1 + u)^-1 terminates and
+    e = c*t^k*(1 + u), and u = u_1 + u_2 + ... splits by the total degree of
+    its ring monomials, which is never 0.  The inverse is solved one degree at
+    a time by the reciprocal recurrence for power series (Knuth, TAOCP vol. 2,
+    4.7):
 
-        e^-1 = c^-1 * t^-k * sum_i (-u)^i.
+        e^-1 = v_0 + v_1 + ...,  v_0 = c^-1 * t^-k,
+        v_d = -sum_{1 <= i <= d} u_i * v_(d-i).
+
+    Every product raises the ring degree, so the recurrence is exact in any
+    Ring and stops at nilpotency_bound - 1.  c^-1 is an int when c = +-1, so
+    integer input gives an integer inverse.
 
     If the scalar part is empty the element is nilpotent (or zero) and has no
     inverse; if it has two or more terms the inverse would be an infinite
     series in t.  Both cases raise NotInvertible.
     """
     ring = e.ring
-    scalars = {j: c.scalar_part for j, c in e.terms.items() if c.scalar_part != 0}
+    zero = ring.zero_exp
+    scalars = {j: c.coeffs[zero] for j, c in e.terms.items() if zero in c.coeffs}
     if not scalars:
         raise NotInvertible("element has no scalar part; it is nilpotent or zero")
     if len(scalars) > 1:
@@ -209,26 +216,19 @@ def laurent_invert(e):
             "scalar part %s spreads over several powers of t; the inverse "
             "would be an infinite Laurent series" % sorted(scalars))
     (k, c), = scalars.items()
-    unit = e * (Fraction(1) / c)
-    unit = unit.shift(-k)
-    u = unit - LaurentClass.one(ring)
-    # every term of u now carries a nilpotent generator, so powers of u die
-    out = LaurentClass.one(ring)
-    power = LaurentClass.one(ring)
-    bound = ring.nilpotency_bound
-    for i in range(1, bound + 1):
-        power = power * u
-        if power.is_zero():
-            break
-        if i % 2 == 1:
-            out = out - power
-        else:
-            out = out + power
-    else:
-        if not power.is_zero():
-            raise NotInvertible("geometric series failed to terminate; "
-                                "the element is not of unit form")
-    return out.shift(-k) * (Fraction(1) / c)
+    inv = int(c) if c in (1, -1) else 1 / Fraction(c)
+    # -u by ring degree; degree 0 holds only the scalar term, which is skipped
+    parts = [{} for _ in range(ring.nilpotency_bound)]
+    for j, coh in e.terms.items():
+        for exps, x in coh.coeffs.items():
+            parts[sum(exps)].setdefault(j - k, {})[exps] = -x * inv
+    neg_u = [LaurentClass(ring, {j: CohClass(ring, p) for j, p in part.items()})
+             for part in parts]
+    v = [LaurentClass.t_power(ring, -k, inv)]
+    for d in range(1, len(parts)):
+        v.append(sum((neg_u[i] * v[d - i] for i in range(1, d + 1)
+                      if neg_u[i] and v[d - i]), LaurentClass.zero(ring)))
+    return sum(v[1:], v[0])
 
 
 def invert_linear_power(c, x, k):

@@ -1,6 +1,6 @@
 """Exact sparse linear solving over Q.
 
-Rows arrive as {unknown: Fraction} dictionaries.  A right-hand side is a
+Rows arrive as {unknown: int or Fraction} dictionaries.  A right-hand side is a
 Fraction or an element of any Q-vector space with +, -, multiplication and
 division by a Fraction, and truthiness (such as a CohClass): one reduction of
 the row then solves every component at once.  Elimination is Gauss-Jordan
@@ -45,7 +45,7 @@ class ExactSolver:
                 raise Inconsistent("equation reduced to 0 = %s" % rhs)
             return
         pivot = min(row)
-        scale = row.pop(pivot)
+        scale = Fraction(row.pop(pivot))  # int / int would give a float
         row = {u: c / scale for u, c in row.items()}
         rhs = rhs / scale
         # eliminate the new pivot from all stored rows

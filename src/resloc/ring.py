@@ -5,12 +5,15 @@ degree: with total = T every monomial of degree above T is zero.  Either bound
 spans an ideal, so truncating a product gives the same coefficients as
 truncating after an untruncated product.  A Ring records generator names,
 these bounds and an integration normalization.  Elements are CohClass values:
-sparse dictionaries mapping exponent tuples to nonzero Fractions.
+sparse dictionaries mapping exponent tuples to nonzero coefficients, each an
+int or a Fraction: integer input stays integer through +, - and *, and only
+division makes Fractions.  The readers coeff and scalar_part return Fractions.
 
 poly_add and poly_mul are the one sparse-dictionary arithmetic of the package:
 CohClass, the raw polynomials of sympoly, QSeries and the q-polynomials of
-reconstruct all run through them.  LaurentClass.__mul__ keeps its own
-t-product loop, which skips coefficient products that come out zero.
+reconstruct all run through them.  A product of two single-term operands
+skips poly_mul's pair loop.  LaurentClass.__mul__ keeps its own t-product
+loop, which skips coefficient products that come out zero.
 Ring.embed is the one way to re-key a class into a wider ring.  All
 arithmetic is exact; there is no floating point anywhere in this package.
 """
@@ -22,12 +25,15 @@ from operator import add, lt
 from .errors import RingMismatch
 
 
-def as_fraction(x):
-    if isinstance(x, Fraction):
+def as_exact(x):
+    """x itself if it is an int or a Fraction; anything else is a TypeError."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError("expected an int or Fraction, got %r" % (x,))
+
+
+def as_fraction(x):
+    return Fraction(x) if isinstance(x, int) else as_exact(x)
 
 
 def poly_add(a, b):
@@ -53,6 +59,15 @@ def poly_mul(a, b, truncs=None, total=None):
     A monomial survives when each exponent is below its entry in truncs and
     the total degree is at most total; None disables a bound.
     """
+    if len(a) == 1 == len(b):
+        (e1, c1), = a.items()
+        (e2, c2), = b.items()
+        e = tuple(map(add, e1, e2))
+        if ((truncs is None or all(map(lt, e, truncs)))
+                and (total is None or sum(e) <= total)):
+            p = c1 * c2
+            return {e: p} if p else {}
+        return {}
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
@@ -151,7 +166,7 @@ class Ring:
 
     def monomial(self, exps, coeff=1):
         exps = tuple(exps)
-        c = as_fraction(coeff)
+        c = as_exact(coeff)
         if not self.admits(exps):
             if len(exps) != len(self.truncs) or any(e < 0 for e in exps):
                 raise ValueError("bad exponent tuple %r for %r" % (exps, self))
@@ -181,7 +196,7 @@ class Ring:
 
 
 class CohClass:
-    """Element of a Ring: finitely many monomials with Fraction coefficients.
+    """Element of a Ring: finitely many monomials with exact coefficients.
 
     The coefficient dictionary never stores zero values and never stores an
     exponent tuple that its ring does not admit.  A CohClass is false exactly
@@ -201,12 +216,12 @@ class CohClass:
         return bool(self.coeffs)
 
     def coeff(self, exps):
-        return self.coeffs.get(tuple(exps), Fraction(0))
+        return Fraction(self.coeffs.get(tuple(exps), 0))
 
     @property
     def scalar_part(self):
         """Coefficient of the monomial with all exponents zero."""
-        return self.coeffs.get(self.ring.zero_exp, Fraction(0))
+        return Fraction(self.coeffs.get(self.ring.zero_exp, 0))
 
     def homogeneous_degree(self):
         """Total degree if homogeneous, None for zero or mixed degrees."""
@@ -221,10 +236,10 @@ class CohClass:
                                % (self.ring, other.ring))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.monomial(self.ring.zero_exp, other)
         if not isinstance(other, CohClass):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.ring.monomial(self.ring.zero_exp, other)
         self._check_ring(other)
         return CohClass(self.ring, poly_add(self.coeffs, other.coeffs))
 
@@ -244,17 +259,17 @@ class CohClass:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            if c == 0:
-                return self.ring.zero()
-            return CohClass(self.ring, {e: v * c for e, v in self.coeffs.items()})
-        if not isinstance(other, CohClass):
+        # classes first: a miss against Fraction, an ABC, is a slow check
+        if isinstance(other, CohClass):
+            self._check_ring(other)
+            ring = self.ring
+            return CohClass(ring, poly_mul(self.coeffs, other.coeffs,
+                                           ring.truncs, ring.total))
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        self._check_ring(other)
-        ring = self.ring
-        return CohClass(ring, poly_mul(self.coeffs, other.coeffs,
-                                       ring.truncs, ring.total))
+        if other == 0:
+            return self.ring.zero()
+        return CohClass(self.ring, {e: v * other for e, v in self.coeffs.items()})
 
     __rmul__ = __mul__
 

@@ -19,7 +19,7 @@ from operator import add, sub
 
 from .errors import NotSymmetric
 from .laurent import LaurentClass
-from .ring import as_fraction, poly_add, poly_mul
+from .ring import as_exact, poly_add, poly_mul
 
 # ---------------------------------------------------------------------------
 # raw polynomial dictionaries {exponent tuple: int or Fraction}; no symmetry
@@ -134,7 +134,7 @@ class SymPoly:
                 raise ValueError("exponent tuple %r has wrong arity" % (e,))
             if min(e, default=0) < 0:
                 raise ValueError("negative exponent in %r" % (e,))
-            if as_fraction(c):
+            if as_exact(c):
                 out[e] = c
         for i in range(self.m - 1):
             for e, c in out.items():

@@ -1,7 +1,7 @@
 """Parser for symmetric polynomial input over the Chern roots q1..qm.
 
-Grammar: integer literals, variables q1..qm, the operators + - * ^ with
-parentheses, and the builtins sigma(partition) (Schur class) and
+Grammar: integer literals in ASCII digits, variables q1..qm, the operators
++ - * ^ with parentheses, and the builtins sigma(partition) (Schur class) and
 c_top_sym(l) (two-variable only).  The parsed polynomial is validated for
 symmetry, so a lopsided expression fails with a witness transposition.
 """
@@ -12,6 +12,15 @@ from .sympoly import (SymPoly, p_const, p_mul, p_neg, p_pow, p_sub, p_var,
                       schur_poly, sym_power_top_chern)
 
 _OPS = "+-*^(),"
+_DIGITS = "0123456789"
+
+
+def _literal(digits, at):
+    """int of an ASCII digit string, or TauSyntaxError at its position."""
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter converts
+        raise TauSyntaxError("integer literal too long", at)
 
 
 def _tokenize(text):
@@ -23,11 +32,11 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            tokens.append(("int", _literal(text[i:j], i), i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -107,8 +116,8 @@ class _Parser:
         raise TauSyntaxError("expected a value", at)
 
     def parse_name(self, name, at):
-        if len(name) > 1 and name[0] == "q" and name[1:].isdigit():
-            k = int(name[1:])
+        if len(name) > 1 and name[0] == "q" and not name[1:].strip(_DIGITS):
+            k = _literal(name[1:], at + 1)
             if not 1 <= k <= self.m:
                 raise TauSyntaxError(
                     "variable %s out of range for m = %d" % (name, self.m), at)

@@ -221,7 +221,9 @@ def test_tau_errors_are_usage_errors(capsys):
     assert "at position" in err
 
 
-CRASH_TAUS = ("(" * 1000 + "q1" + ")" * 1000, "sigma(99999999999999999999)")
+# inputs that once ended in a traceback or in an error without a position
+CRASH_TAUS = ("(" * 1000 + "q1" + ")" * 1000, "sigma(99999999999999999999)",
+              "q1\u00b2*q2\u00b2", "1" * 5000)
 
 
 @pytest.mark.parametrize("tau", CRASH_TAUS)

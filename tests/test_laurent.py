@@ -8,10 +8,14 @@ from resloc.errors import NotInvertible, RingMismatch
 from resloc.laurent import (LaurentClass, invert_linear_power,
                             laurent_invert, neg_part)
 from resloc.ring import CohClass, Ring
+from resloc.schubert import pv_ring
 
 R = Ring(("H",), (2,))
 R2 = Ring(("h", "z"), (3, 3))
 R5 = Ring(("h",), (5,))
+RT = Ring(("z1", "z2"), (7, 7), total=5)  # the shape of zeta_ring
+FRACS = st.fractions(min_value=-20, max_value=20, max_denominator=5)
+INTS = st.integers(-20, 20)
 
 
 def H(ring=R, name="H"):
@@ -86,10 +90,9 @@ def test_invert_off_center():
     assert max(inv.terms) == 4
 
 
-def laurents(ring):
-    exps = st.tuples(*[st.integers(0, tr - 1) for tr in ring.truncs])
-    frac = st.fractions(min_value=-20, max_value=20, max_denominator=5)
-    coh = st.dictionaries(exps, frac, max_size=3).map(
+def laurents(ring, coeffs=FRACS):
+    exps = st.sampled_from(ring.monomials())
+    coh = st.dictionaries(exps, coeffs, max_size=3).map(
         lambda d: CohClass(ring, {e: c for e, c in d.items() if c}))
     return st.dictionaries(st.integers(-3, 3), coh, max_size=3).map(
         lambda d: LaurentClass(ring, {j: c for j, c in d.items()
@@ -107,17 +110,31 @@ def test_laurent_ring_axioms(a, b, c):
     assert all(j >= 0 for j in (a - neg_part(a)).terms)
 
 
-@settings(max_examples=60, deadline=None)
-@given(laurents(R2), st.integers(-2, 2),
-       st.fractions(min_value=-9, max_value=9, max_denominator=4))
-def test_invert_round_trip(a, k, c):
-    if c == 0:
-        c = Fraction(1)
-    e = t(k, c, R2) + a.shift(k - 1) * LaurentClass.from_coh(
-        R2.generator("h"))
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([R2, RT]), st.sampled_from([FRACS, INTS]),
+       st.integers(-2, 2))
+def test_invert_round_trip(data, ring, coeffs, k):
+    a = data.draw(laurents(ring, coeffs))
+    c = data.draw(coeffs.filter(bool))
+    gen = LaurentClass.from_coh(ring.generator(ring.gens[0]))
+    e = t(k, c, ring) + a.shift(k - 1) * gen
     inv = laurent_invert(e)
-    assert inv * e == LaurentClass.one(R2)
+    assert inv * e == LaurentClass.one(ring)
     assert laurent_invert(inv) == e
+    if coeffs is INTS and c in (1, -1):
+        assert all(type(v) is int
+                   for coh in inv.terms.values() for v in coh.coeffs.values())
+
+
+@pytest.mark.parametrize("n", [3, 7, 14])
+def test_invert_euler_class_of_pv_ring_stays_integral(n):
+    ring = pv_ring(n)
+    e = (LaurentClass.from_coh(ring.generator("h")) + t(1, ring=ring)) ** n
+    inv = laurent_invert(e)
+    assert inv * e == LaurentClass.one(ring)
+    assert inv == invert_linear_power(1, ring.generator("h"), n)
+    assert {type(v) for coh in inv.terms.values()
+            for v in coh.coeffs.values()} == {int}
 
 
 def nilpotents(ring):

@@ -25,6 +25,13 @@ def test_small_system():
     assert sol == {"x": Fraction(2), "y": Fraction(1)}
 
 
+def test_integer_rows_solve_exactly():
+    # 2x + y = 1, 3y = 2: x = 1/6, y = 2/3, with no rounding
+    sol = solve([({0: 2, 1: 1}, 1), ({1: 3}, 2)], [0, 1])
+    assert sol == {0: Fraction(1, 6), 1: Fraction(2, 3)}
+    assert all(type(v) is Fraction for v in sol.values())
+
+
 def test_redundant_rows_ok():
     solver = ExactSolver()
     solver.add_equation({"x": Fraction(1)}, Fraction(3))

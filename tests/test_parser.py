@@ -93,6 +93,29 @@ def test_oversized_sigma_part_is_a_syntax_error():
     assert "too large" in str(exc.value)
 
 
+@pytest.mark.parametrize("text,position", [
+    ("q1\u00b2*q2\u00b2", 0),         # superscript two is not an exponent
+    ("q1 + \u00b2", 5),
+    ("\u0661 + q1 + q2", 0),           # Arabic-Indic one is no literal
+])
+def test_non_ascii_digits_are_syntax_errors(text, position):
+    with pytest.raises(TauSyntaxError) as exc:
+        parse_tau(text, 2)
+    assert exc.value.position == position
+
+
+@pytest.mark.parametrize("text,position", [
+    ("1" * 5000, 0),
+    ("q1 + " + "7" * 5000, 5),
+    ("q" + "1" * 5000, 1),
+], ids=["literal", "second-literal", "variable-index"])
+def test_overlong_literal_is_a_syntax_error(text, position):
+    with pytest.raises(TauSyntaxError) as exc:
+        parse_tau(text, 2)
+    assert exc.value.position == position
+    assert "too long" in str(exc.value)
+
+
 def test_not_symmetric_witness():
     with pytest.raises(NotSymmetric) as exc:
         parse_tau("q1", 2)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resloc.errors import RingMismatch
-from resloc.laurent import LaurentClass, laurent_invert
+from resloc.laurent import LaurentClass, invert_linear_power, laurent_invert
+from resloc.linalg import ExactSolver
 from resloc.reconstruct import _splits
 from resloc.ring import CohClass, Ring, as_fraction, poly_add, poly_mul
 from resloc.schubert import flag_band, flag_fixed_locus_euler, zeta_ring
@@ -166,6 +167,25 @@ def test_poly_mul_truncation(a, b, c, truncs, total):
     assert left == right == within(poly_mul(full, c), truncs, total)
 
 
+monos = st.tuples(st.integers(0, 5), st.integers(0, 5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(monos, monos, coeff_st.filter(bool), coeff_st.filter(bool), bounds,
+       totals)
+def test_single_term_product(e1, e2, c1, c2, truncs, total):
+    e = (e1[0] + e2[0], e1[1] + e2[1])
+    assert (poly_mul({e1: c1}, {e2: c2}, truncs, total)
+            == within({e: c1 * c2}, truncs, total))
+
+
+def test_single_term_product_drops_a_zero_coefficient():
+    # coefficients that are classes can multiply to zero: H^2 * H = 0
+    h = R1.generator("H")
+    assert poly_mul({(0,): h * h}, {(1,): h}) == {}
+    assert poly_mul({(0,): h}, {(1,): h}) == {(1,): h * h}
+
+
 @settings(max_examples=60, deadline=None)
 @given(polys, polys)
 def test_poly_add_drops_zeros(a, b):
@@ -285,3 +305,45 @@ def test_splits_count(d):
     for d1, d2 in splits:
         assert any(d1) and any(d2)
         assert tuple(a + b for a, b in zip(d1, d2)) == d
+
+
+RT = Ring(("z1", "z2"), (7, 7), total=5)
+exact_st = st.one_of(st.integers(-9, 9),
+                     st.fractions(min_value=-9, max_value=9,
+                                  max_denominator=4))
+
+
+def exact_classes(ring):
+    return st.dictionaries(st.sampled_from(ring.monomials()), exact_st,
+                           max_size=4).map(
+        lambda d: CohClass(ring, {e: c for e, c in d.items() if c}))
+
+
+def exact(values):
+    return all(type(v) in (int, Fraction) for v in values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from([R1, R2, RT]))
+def test_kernel_never_makes_a_float(data, ring):
+    a, b = data.draw(exact_classes(ring)), data.draw(exact_classes(ring))
+    s = data.draw(exact_st.filter(bool))
+    solver = ExactSolver()
+    solver.add_equation({0: s, 1: data.draw(exact_st)}, a)
+    solver.add_equation({1: s}, data.draw(exact_st))
+    solution = solver.solution([0, 1])
+    x = a - a.scalar_part  # nilpotent
+    unit = LaurentClass.t_power(ring, 1, s) + LaurentClass.from_coh(x)
+    cohs = [a + b, a - b, a * b, a * s, s * b, a / s, a + s, s - b,
+            ring.monomial(ring.zero_exp, s), solution[0]]
+    laurents = [unit, unit * s, laurent_invert(unit),
+                invert_linear_power(s, x, 2)]
+    assert exact([solution[1]])
+    for c in cohs:
+        assert exact(c.coeffs.values())
+        assert type(c.scalar_part) is Fraction
+        assert all(type(c.coeff(e)) is Fraction for e in ring.monomials())
+    for lc in laurents:
+        assert all(exact(c.coeffs.values()) for c in lc.terms.values())
+        assert all(type(lc.coeff(ring.zero_exp, j)) is Fraction
+                   for j in range(-3, 3))

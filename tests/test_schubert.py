@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -46,16 +47,29 @@ def test_classical_residue_values():
     assert grassmann_integral_residue(5, sym_power_top_chern(5)) == 2875
 
 
-@pytest.mark.parametrize("n", range(3, 8))
+@pytest.mark.parametrize("n", range(3, 15))
 def test_residue_matches_schur_oracle(n):
-    # every monomial-symmetric class of the complementary degree
+    # every monomial-symmetric class of the complementary degree, over the
+    # bench's m = 2 range
     deg = 2 * (n - 2)
-    partitions = [(a, deg - a) for a in range(deg - deg // 2, deg + 1)]
-    for lam in partitions:
-        lam = tuple(x for x in sorted(lam, reverse=True) if x > 0)
-        tau = SymPoly.from_monomial_orbit(2, lam if len(lam) == 2 else lam + (0,))
+    for lam in [(a, deg - a) for a in range(deg - deg // 2, deg + 1)]:
+        tau = SymPoly.from_monomial_orbit(2, lam)
         assert (grassmann_integral_residue(n, tau)
                 == schur_integral_oracle(2, n, tau)), (n, lam)
+
+
+@pytest.mark.parametrize("n", [5, 14])
+def test_residue_of_fraction_coefficients(n):
+    # sigma(1)^dim with Fraction coefficients, and half of it
+    s1 = tau = SymPoly.from_schur(2, (1,))
+    for _ in range(2 * (n - 2) - 1):
+        tau = tau * s1
+    as_fractions = SymPoly(2, {e: Fraction(c) for e, c in tau.coeffs.items()})
+    value = grassmann_integral_residue(n, tau)
+    assert value == grassmann_integral_residue(n, as_fractions)
+    half = SymPoly(2, {e: Fraction(c, 2) for e, c in tau.coeffs.items()})
+    assert grassmann_integral_residue(n, half) == value / 2
+    assert value == comb(2 * (n - 2), n - 2) // (n - 1)  # deg G(2, n)
 
 
 def test_residue_degree_mismatch_is_zero():
