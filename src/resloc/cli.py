@@ -74,7 +74,9 @@ def _build_parser():
     weights = p.add_mutually_exclusive_group()
     weights.add_argument("--weights", action="append", default=None,
                          metavar="W0,W1,...",
-                         help="weight sample (repeatable); default: generated")
+                         help="weight sample (repeatable); default: "
+                              "generated; write a sample that starts with a "
+                              "minus sign as --weights=-5,7")
     weights.add_argument("--samples", type=int, default=None,
                          help="number of generated weight samples")
     p.add_argument("--verify-tau", default=None, metavar="EXPR",

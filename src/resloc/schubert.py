@@ -10,12 +10,12 @@ polynomials in the Chern roots reduce to reading off one residue coefficient.
 
 import itertools
 from fractions import Fraction
-from math import comb, prod
+from math import comb, lcm, prod
 
-from .errors import MissingZetaEntry, RepeatedWeight
+from .errors import MissingZetaEntry, RankDeficient, RepeatedWeight
 from .laurent import LaurentClass, invert_linear_power, laurent_invert
 from .linalg import ExactSolver
-from .ring import CohClass, Ring
+from .ring import Ring
 
 
 def fiberdim(m, n):
@@ -224,25 +224,40 @@ def _suggested_sample_count(m, n):
     return max(3, -(-largest_level // m) + 1)
 
 
-def _flag_euler_inverse(perm, wv, n):
-    """Inverse of flag_fixed_locus_euler(perm, wv, n) for |A| <= flag_band.
+def _flag_level_rows(i, wv, n):
+    """Summed inverse Euler classes of the fixed flags with first line i.
 
-    The Euler class is S * t^e * prod_s (c_s*t - zeta_s) with
+    The Euler class of the flag I is S * t^e * prod_s (c_s*t - zeta_s) with
     S = prod_(j<k) (w_(i_k) - w_(i_j)), e = m(m-1)/2, c_s = w_(i_(s+1)) - w_(i_s).
-    As (c*t - zeta)^-1 = sum_a zeta^a * (c*t)^-(a+1), each A has one term:
-    zeta^A * t^-(e + |A| + m - 1) / (S * prod_s c_s^(a_s+1)).
+    As (c*t - zeta)^-1 = sum_a zeta^a * (c*t)^-(a+1), each A has one term
+    zeta^A * t^-(e + |A| + m - 1) / (S * prod_s c_s^(a_s+1)).  With
+    P = prod_s c_s, u_s = P / c_s and L = |A|, that is
+    u^A / (S * P^(L+1)), u^A = prod_s u_s^(a_s).
+
+    Returns one pair (D, {A: numerator}) per level L = 0..flag_band: summed
+    over the flags of _flags_from(i, m), the coefficient of zeta^A is
+    numerator / D, where D is the lcm of |S * P^(L+1)| over those flags.  An
+    A whose sum cancels is left out.
     """
-    m = len(perm)
-    w = [wv[p - 1] for p in perm]
-    scale = prod(w[k] - w[j] for j, k in itertools.combinations(range(m), 2))
-    cs = [w[s + 1] - w[s] for s in range(m - 1)]
-    top = m * (m - 1) // 2 + m - 1
-    ring = zeta_ring(m, n)
-    terms = {}
-    for a_exps in ring.monomials():
-        den = scale * prod(c ** (a + 1) for c, a in zip(cs, a_exps))
-        terms.setdefault(-top - sum(a_exps), {})[a_exps] = Fraction(1, den)
-    return LaurentClass(ring, {j: CohClass(ring, c) for j, c in terms.items()})
+    m = len(wv)
+    band = flag_band(m, n)
+    denoms, us = [], []
+    for perm in _flags_from(i, m):
+        w = [wv[p - 1] for p in perm]
+        scale = prod(w[k] - w[j] for j, k in itertools.combinations(range(m), 2))
+        cs = [w[s + 1] - w[s] for s in range(m - 1)]
+        big_p = prod(cs)
+        denoms.append([scale * big_p ** (L + 1) for L in range(band + 1)])
+        us.append([big_p // c for c in cs])
+    dens = [lcm(*map(abs, level)) for level in zip(*denoms)]
+    factors = [[den // x for den, x in zip(dens, d)] for d in denoms]
+    rows = [{} for _ in range(band + 1)]
+    for a_exps in zeta_ring(m, n).monomials():
+        L = sum(a_exps)
+        x = sum(f[L] * prod(map(pow, u, a_exps)) for f, u in zip(factors, us))
+        if x:
+            rows[L][a_exps] = x
+    return list(zip(dens, rows))
 
 
 def flag_pushforward_extract(m, n, weight_samples=None):
@@ -251,12 +266,16 @@ def flag_pushforward_extract(m, n, weight_samples=None):
     For each weight sample and each choice of distinguished index i, the sum
     of inverse Euler classes over the (m-1)! fixed loci with i_1 = i must push
     forward to the product of inverse Euler factors of the i-th fixed point in
-    P(V).  Matching coefficients of t^j gives one exact linear equation per
-    (sample, i, j) in the unknowns pi(zeta^A), with its right-hand side in
-    Q[h]/(h^n).  Each t^j involves only the A of one level |A|, so exact
-    Gauss-Jordan elimination keeps the levels apart.  Raises RankDeficient
-    when the samples do not determine the table and Inconsistent when they
-    contradict each other.
+    P(V).  Both sides are homogeneous (t and every class of degree 1), so the
+    coefficient of t^-(e+L+m-1), e = m(m-1)/2, involves only the A of one
+    level |A| = L on the left, and one monomial c * h^(L - fiberdim) on the
+    right.  Each (sample, i, L) thus gives one equation in integers: the
+    numerators of _flag_level_rows over their common denominator D, times
+    the denominator of c, equal the numerator of c times D.  The
+    fraction-free solver keeps the levels apart, and each entry is rebuilt as
+    the monomial x * h^(L - fiberdim).  Raises RankDeficient, naming the
+    level and its rank, when the samples do not determine the table, and
+    Inconsistent when they contradict each other.
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -271,19 +290,33 @@ def flag_pushforward_extract(m, n, weight_samples=None):
     solver = ExactSolver()
     ring = pv_ring(n)
     h = ring.generator("h")
+    fd = fiberdim(m, n)
+    top = m * (m - 1) // 2 + m - 1  # t^-(top + L) carries level L
     for wv in samples:
         for i in range(1, m + 1):
-            lhs = LaurentClass.zero(zeta_ring(m, n))
-            for perm in _flags_from(i, m):
-                lhs = lhs + _flag_euler_inverse(perm, wv, n)
             rhs = LaurentClass.one(ring)
             for s in range(m):
                 if s != i - 1:
                     rhs = rhs * invert_linear_power(wv[s] - wv[i - 1], h, n)
-            for j in sorted(set(lhs.terms) | set(rhs.terms)):
-                solver.add_equation(lhs.coefficient(j).coeffs,
-                                    rhs.coefficient(j))
-    return ZetaTable(m, n, solver.solution(zeta_ring(m, n).monomials()))
+            for level, (den, row) in enumerate(_flag_level_rows(i, wv, n)):
+                k = level - fd
+                c = rhs.coeff((k,), -top - level) if k >= 0 else Fraction(0)
+                if c.denominator != 1:
+                    row = {a: x * c.denominator for a, x in row.items()}
+                if row or c:
+                    solver.add_equation(row, c.numerator * den)
+    unknowns = zeta_ring(m, n).monomials()
+    try:
+        values = solver.solution(unknowns)
+    except RankDeficient as exc:
+        level = sum(exc.free_unknowns[0])
+        cols = [a for a in unknowns if sum(a) == level]
+        rank = sum(a in solver.pivots for a in cols)
+        raise RankDeficient("%s; level |A| = %d has rank %d of %d unknowns"
+                            % (exc, level, rank, len(cols)),
+                            free_unknowns=exc.free_unknowns) from None
+    return ZetaTable(m, n, {a: ring.monomial((sum(a) - fd,), x) if x
+                            else ring.zero() for a, x in values.items()})
 
 
 def verify_euler_pushforward_identity(m, n, ztable, w):

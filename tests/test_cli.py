@@ -6,12 +6,17 @@ captured exactly as a shell user would see them.
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import resloc
 from resloc.cli import run
 from resloc.jfun import i_function, j_projective, mirror_normalize
 from resloc.schubert import grassmann_integral_residue
@@ -325,6 +330,38 @@ def test_math_error_exit_code(capsys):
                                    "--samples", "1"])
     assert code == 3
     assert "RankDeficient" in err
+
+
+def test_rank_deficient_names_level_and_rank(capsys):
+    # one sample gives three rows per level: level 3 has four unknowns
+    code, out, err = invoke(capsys, ["flag-table", "--m", "3", "--n", "6",
+                                     "--samples", "1"])
+    assert (code, out) == (3, "")
+    assert err == ("RankDeficient: 55 unknown(s) undetermined, e.g. (3, 0); "
+                   "level |A| = 3 has rank 3 of 4 unknowns\n")
+
+
+def test_flag_table_negative_weights(capsys):
+    # extraction does not depend on the weights; a sample starting with a
+    # minus sign is written --weights=-5,7,2 so argparse reads it as a value
+    code, default, _ = invoke(capsys, ["flag-table", "--m", "3", "--n", "5"])
+    assert code == 0
+    samples = ["-5,7,2", "-1,-9,4", "3,-2,-8", "-6,1,11"]
+    code, out, err = invoke(capsys, ["flag-table", "--m", "3", "--n", "5"]
+                            + ["--weights=" + w for w in samples])
+    assert (code, out, err) == (0, default, "")
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(resloc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "resloc", "schubert", "--m", "2", "--n", "4",
+         "--tau", "sigma(1)^4"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "value\n2\n", "")
 
 
 def test_env_default_order(capsys, monkeypatch):

@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from resloc.errors import Inconsistent, RankDeficient
@@ -158,3 +160,63 @@ def test_vector_rhs_redundant_row_off_in_one_coefficient(system, data):
     off = data.draw(small_fractions.filter(bool))
     with pytest.raises(Inconsistent):
         solver.add_equation(combo, combo_rhs + H4.monomial((b,), off))
+
+
+def cramer(matrix, rhs):
+    """x_j = det(A_j) / det(A), determinants by the Leibniz expansion."""
+    n = len(matrix)
+
+    def det(a):
+        total = Fraction(0)
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(perm[i] > perm[j]
+                             for i, j in itertools.combinations(range(n), 2))
+            term = Fraction((-1) ** inversions)
+            for i, j in enumerate(perm):
+                term *= a[i][j]
+            total += term
+        return total
+
+    d = det(matrix)
+    return d, [det([row[:j] + [b] + row[j + 1:]
+                    for row, b in zip(matrix, rhs)]) / d if d else None
+               for j in range(n)]
+
+
+huge_fractions = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                           st.integers(1, 10 ** 30))
+
+
+def assert_primitive_pivot_rows(solver):
+    for p, row, _ in solver.pivots.values():
+        entries = [p, *row.values()]
+        assert all(type(x) is int for x in entries)
+        assert gcd(*entries) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rational_system_matches_cramer(data):
+    n = data.draw(st.integers(1, 4))
+    matrix = [[data.draw(huge_fractions) for _ in range(n)] for _ in range(n)]
+    rhs = [data.draw(huge_fractions) for _ in range(n)]
+    d, expected = cramer(matrix, rhs)
+    assume(d != 0)
+    rows = [({j: x for j, x in enumerate(r) if x}, b)
+            for r, b in zip(matrix, rhs)]
+    # redundant integer combinations of the rows, interleaved
+    combos = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        weights = data.draw(st.lists(st.integers(-3, 3), min_size=n,
+                                     max_size=n))
+        combos.append(({j: sum(w * r[j] for w, r in zip(weights, matrix))
+                        for j in range(n)},
+                       sum(w * b for w, b in zip(weights, rhs))))
+    solver = ExactSolver()
+    for row, b in rows + combos:
+        solver.add_equation(row, b)
+        assert_primitive_pivot_rows(solver)
+    assert solver.solution(range(n)) == dict(enumerate(expected))
+    row, b = combos[0]
+    with pytest.raises(Inconsistent):
+        solver.add_equation(row, b + 1)

@@ -7,13 +7,13 @@ import pytest
 from resloc.errors import MissingZetaEntry, RepeatedWeight
 from resloc.laurent import LaurentClass, laurent_invert
 from resloc.ring import CohClass
-from resloc.schubert import (ZetaTable, _as_weights, _flag_euler_inverse,
-                             closed_form_m2, default_weight_samples, fiberdim,
-                             flag_band, flag_fixed_locus_euler,
-                             flag_pushforward_extract,
+from resloc.schubert import (ZetaTable, _as_weights, _flag_level_rows,
+                             _flags_from, closed_form_m2,
+                             default_weight_samples, fiberdim, flag_band,
+                             flag_fixed_locus_euler, flag_pushforward_extract,
                              grassmann_integral_residue, pv_ring,
                              verify_euler_pushforward_identity,
-                             verify_grassmann_pushforward)
+                             verify_grassmann_pushforward, zeta_ring)
 from resloc.sympoly import (SymPoly, monomial_symmetric, schur_integral_oracle,
                             sym_power_top_chern)
 
@@ -115,19 +115,26 @@ def test_extraction_weight_independent(m, n):
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_closed_form_flag_inverse_matches_generic(m):
-    # unsorted weights, so some c_s and factors of S are negative
+    # the integer level rows of extraction, numerators / D, equal the generic
+    # inverse Euler classes summed over the flags with first line i; unsorted
+    # weights with a negative one make some c_s and factors of S negative
     n = 5
     w = _as_weights((5, -1, 2, 9)[:m], m)
-    band = flag_band(m, n)
-    for perm in itertools.permutations(range(1, m + 1)):
-        generic = laurent_invert(flag_fixed_locus_euler(perm, w, n))
-        ring = generic.ring
-        cut = {}
-        for j, c in generic.terms.items():
-            kept = {a: v for a, v in c.coeffs.items() if sum(a) <= band}
-            if kept:
-                cut[j] = CohClass(ring, kept)
-        assert _flag_euler_inverse(perm, w, n) == LaurentClass(ring, cut)
+    ring = zeta_ring(m, n)
+    top = m * (m + 1) // 2 - 1
+    for i in range(1, m + 1):
+        generic = sum((laurent_invert(flag_fixed_locus_euler(perm, w, n))
+                       for perm in _flags_from(i, m)), LaurentClass.zero(ring))
+        rows = _flag_level_rows(i, w, n)
+        assert len(rows) == flag_band(m, n) + 1
+        got = {}
+        for level, (den, row) in enumerate(rows):
+            assert den > 0 and all(type(x) is int for x in row.values())
+            assert all(sum(a) == level for a in row)
+            if row:
+                got[-top - level] = CohClass(
+                    ring, {a: Fraction(x, den) for a, x in row.items()})
+        assert LaurentClass(ring, got) == generic, i
 
 
 def test_zeta_table_accessors():
