@@ -198,11 +198,14 @@ def mirror_normalize(i_fun):
     diagonally through S_0 = I_0 = lH, so the per-order solve divides by l,
     and a zero l would make it singular.
 
-    After the last order Jhat is rebuilt once in full from the series a, b,
-    c, independently of the online pass, and the normalization is verified:
-    the d = 0 term must be exactly lH and all d >= 1 terms must have
-    t-exponents <= -2, otherwise NormalizationFailed reports the surviving
-    term.
+    After the last order Jhat is rebuilt in full by qs_exp and qs_compose
+    and verified: the d = 0 term must be exactly lH and all d >= 1 terms must
+    have t-exponents <= -2, otherwise NormalizationFailed reports the
+    surviving term.  The rebuild shares no loop with the online pass but
+    solves the same recurrences (theta P = P * theta E, m g_m = k sum_j j s_j
+    g_(m - j)), so an error in a recurrence itself would pass this check;
+    test_exp_matches_defining_sum and test_compose_matches_defining_sum test
+    both against sum_k E^k / k! and stay the reference.
     """
     spec = i_fun.ring_spec
     ring = spec.ring

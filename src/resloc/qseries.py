@@ -4,13 +4,17 @@ Coefficients are LaurentClass values over one fixed Ring.  Terms are kept up
 to a total degree bound D; multiplication drops anything beyond the bound, so
 the bound is a ring homomorphism from higher truncations.  Sums and products
 run through the ring kernel (poly_add, poly_mul with total = D).
+
+qs_exp and qs_compose solve the power-series exponential recurrence (Knuth,
+TAOCP vol. 2, 4.7) degree by degree: O(D^2) coefficient products, not O(D^3).
 """
 
 from fractions import Fraction
+from operator import sub
 
 from .errors import NotExponentiable, RingMismatch
 from .laurent import LaurentClass
-from .ring import as_fraction, poly_add, poly_mul
+from .ring import Ring, as_fraction, poly_add, poly_mul
 
 
 class QSeries:
@@ -99,14 +103,6 @@ class QSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = QSeries.one(self.ring, self.nvars, self.trunc)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def q_shift(self, deg):
         """Multiply by the monomial q^deg, dropping terms beyond the bound."""
         deg = tuple(deg)
@@ -164,15 +160,25 @@ class QSeries:
         return " + ".join(parts)
 
 
-def qs_exp(e):
-    """Exponential of a truncated q-series.
+def degree_vectors(nvars, trunc):
+    """All nonzero degree tuples with total degree <= trunc, graded order."""
+    gens = ["q%d" % i for i in range(nvars)]
+    return Ring(gens, [trunc + 1] * nvars, total=trunc).monomials()[1:]
 
-    Every term of e sitting in q-degree zero must have coefficients without a
-    scalar part, otherwise the sum sum_k e^k / k! never terminates and
-    NotExponentiable is raised.  Powers of t alone do not help: they never
-    become zero, so the scalar-part condition is checked per t-exponent.
+
+def qs_exp(e):
+    """exp(E) of a truncated q-series, solved degree by degree.
+
+    The q-degree-zero term E_0 must lack a scalar part at every t-power (t
+    alone never vanishes), else sum_k E_0^k / k! never ends: NotExponentiable.
+    Then P_0 = exp(E_0) is a finite sum that ends by the nilpotency_bound, and
+    theta = sum_i q_i d/dq_i turns theta P = P * theta E for P = exp(E) into
+    |d| P_d = sum_(0 < alpha <= d) |alpha| E_alpha P_(d - alpha) (Knuth, TAOCP
+    vol. 2, 4.7), solved in graded order of d.
     """
-    zero_deg = (0,) * e.nvars
+    ring, nvars = e.ring, e.nvars
+    zero_deg = (0,) * nvars
+    p0, zero = LaurentClass.one(ring), LaurentClass.zero(ring)
     const = e.terms.get(zero_deg)
     if const is not None:
         for j, coh in const.terms.items():
@@ -180,41 +186,47 @@ def qs_exp(e):
                 raise NotExponentiable(
                     "degree-zero term %s*t^%d has a nonzero scalar part"
                     % (coh.scalar_part, j))
-    out = QSeries.one(e.ring, e.nvars, e.trunc)
-    term = QSeries.one(e.ring, e.nvars, e.trunc)
-    limit = e.trunc + e.ring.nilpotency_bound + 1
-    for k in range(1, limit + 1):
-        term = term * e * Fraction(1, k)
-        if term.is_zero():
-            break
-        out = out + term
-    else:
-        if not term.is_zero():
-            raise NotExponentiable("exponential series failed to terminate")
-    return out
+        term, k = p0, 0
+        while term:
+            k += 1
+            term = term * const * Fraction(1, k)
+            p0 = p0 + term
+    weighted = [(alpha, c * sum(alpha)) for alpha, c in e.terms.items()
+                if alpha != zero_deg]
+    out = {zero_deg: p0}
+    for d in degree_vectors(nvars, e.trunc):
+        p_d = zero
+        for alpha, c in weighted:
+            # alpha not <= d leaves a negative entry, which is never a key
+            p = out.get(tuple(map(sub, d, alpha)))
+            if p is not None:
+                p_d = p_d + c * p
+        p_d = p_d * Fraction(1, sum(d))
+        if p_d:
+            out[d] = p_d
+    return QSeries(ring, nvars, e.trunc, out)
 
 
 def qs_compose(f, s):
     """Substitute q -> q * exp(s(q)) in a single-variable series f.
 
     s must be a single-variable pure-scalar series with zero constant term.
-    The result is sum_d f_d * q^d * exp(s)^d at the same truncation.
+    The result is sum_k f_k * q^k * g, g = exp(k*s), at the same truncation;
+    g comes from the Fractions s_j by m g_m = k sum_(j <= m) j s_j g_(m - j)
+    (Knuth, TAOCP vol. 2, 4.7), and f_k g_m is added into degree k + m.
     """
     if f.nvars != 1 or s.nvars != 1:
         raise ValueError("arity mismatch: composition needs single-variable series")
     if f.ring != s.ring or f.trunc != s.trunc:
         raise ValueError("series shapes differ")
-    if not s.is_scalar():
-        raise ValueError("substitution series must be pure scalar")
     if (0,) in s.terms:
         raise ValueError("substitution series must have zero constant term")
-    growth = qs_exp(s)
-    out = QSeries.zero(f.ring, 1, f.trunc)
-    epow = QSeries.one(f.ring, 1, f.trunc)
-    for d in range(0, f.trunc + 1):
-        fd = f.terms.get((d,))
-        if fd is not None:
-            out = out + (epow * fd).q_shift((d,))
-        if d < f.trunc:
-            epow = epow * growth
-    return out
+    weighted = [(j, j * v) for (j,), v in s.scalar_coefficients().items()]
+    out = {}
+    for (k,), fk in f.terms.items():
+        g = [Fraction(1)]
+        for m in range(1, f.trunc - k + 1):
+            g.append(Fraction(k, m) * sum(
+                (w * g[m - j] for j, w in weighted if j <= m), Fraction(0)))
+        out = poly_add(out, {(k + m,): fk * x for m, x in enumerate(g) if x})
+    return QSeries(f.ring, 1, f.trunc, out)

@@ -32,13 +32,8 @@ from .fmt import fmt_fraction, fmt_tuple
 from .geometry import integrate
 from .laurent import LaurentClass, neg_part
 from .linalg import ExactSolver
-from .ring import CohClass, Ring, poly_add, poly_mul
-
-
-def _degree_vectors(nvars, trunc):
-    """All nonzero degree tuples with total degree <= trunc, graded order."""
-    gens = ["q%d" % i for i in range(nvars)]
-    return Ring(gens, [trunc + 1] * nvars, total=trunc).monomials()[1:]
+from .qseries import degree_vectors
+from .ring import CohClass, poly_add, poly_mul
 
 
 def _as_tuple(v, arity, what):
@@ -65,7 +60,7 @@ class TwoPointTable:
         self.table = dict(table)
 
     def degrees(self):
-        return _degree_vectors(self.ring_spec.nvars, self.trunc)
+        return degree_vectors(self.ring_spec.nvars, self.trunc)
 
     def series(self, d, a):
         """G_d(H^a, t) as a Laurent class (zero if outside the table)."""
@@ -220,7 +215,7 @@ def reconstruct_two_point(jfun):
     table = TwoPointTable(spec, jfun.trunc, {})
     arguments = {}
     forms = {}
-    for d in _degree_vectors(spec.nvars, jfun.trunc):
+    for d in degree_vectors(spec.nvars, jfun.trunc):
         arguments[d] = _arguments(jfun, d)
         splits = [(d1, arguments[d2]) for d1, d2 in _splits(d)]
         for a, direct in arguments[d].items():
@@ -265,17 +260,16 @@ def quantum_mult_matrix(table, divisor_index=0):
 
     Uses the divisor axiom: the 3-point invariant with the divisor insertion
     equals d_div times the 2-point invariant.  Dual classes are taken with
-    respect to the ring's integration pairing.
+    respect to the ring's integration pairing, so row e at q^d holds
+    d_div * invariant(a, top - e, d) / norm = d_div * g_{d,a,0}[e].  Without
+    its top monomial a ring integrates to 0: no quantum entries.
     """
     spec = table.ring_spec
     ring = spec.ring
-    monos = spec.monomials()
-    top = ring.top_exp
-    norm = ring.norm
     zero_deg = (0,) * spec.nvars
-    degrees = table.degrees()
+    degrees = table.degrees() if ring.admits(ring.top_exp) else []
     entries = {}
-    for a in monos:
+    for a in spec.monomials():
         column = {}
         shifted = list(a)
         shifted[divisor_index] += 1
@@ -286,13 +280,9 @@ def quantum_mult_matrix(table, divisor_index=0):
             ddiv = d[divisor_index]
             if ddiv == 0:
                 continue
-            for b in monos:
-                val = table.invariant(a, b, d)
-                if not val:
-                    continue
-                dual = tuple(t - e for t, e in zip(top, b))
-                # each (row, degree) pair is met once, so nothing accumulates
-                column.setdefault(dual, {})[d] = Fraction(ddiv) * val / norm
+            # each (row, degree) pair is met once, so nothing accumulates
+            for e, c in table.g(d, a, 0).coeffs.items():
+                column.setdefault(e, {})[d] = Fraction(ddiv) * c
         entries[a] = column
     return QuantumMatrix(spec, table.trunc, divisor_index, entries)
 
@@ -388,7 +378,7 @@ def qh_relation(matrix):
     powers = [{unit_exp: {zero_deg: Fraction(1)}}]
     for _ in range(dim + 1):
         powers.append(matrix.apply(powers[-1]))
-    deg_slices = [zero_deg] + _degree_vectors(nvars, trunc)
+    deg_slices = [zero_deg] + degree_vectors(nvars, trunc)
     for k in range(1, dim + 2):
         try:
             coeffs = _solve_dependence(powers, k, deg_slices, nvars)

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resloc.errors import NotExponentiable, RingMismatch
+from resloc.jfun import i_function
 from resloc.laurent import LaurentClass
-from resloc.qseries import QSeries, qs_compose, qs_exp
+from resloc.qseries import QSeries, degree_vectors, qs_compose, qs_exp
 from resloc.ring import CohClass, Ring
 
 R = Ring(("H",), (3,))
+R2 = Ring(("x", "y"), (2, 3))
 
 
 def scalar(ring, d, c, nvars=1, trunc=4):
@@ -152,3 +154,105 @@ def test_compose_is_multiplicative(f, g, s):
     lhs = qs_compose((one + f) * (one + g), s)
     rhs = qs_compose(one + f, s) * qs_compose(one + g, s)
     assert lhs == rhs
+
+
+def exp_by_sum(e):
+    """sum_k e^k / k! by repeated series products, until a term is zero."""
+    out = term = QSeries.one(e.ring, e.nvars, e.trunc)
+    k = 0
+    while not term.is_zero():
+        k += 1
+        term = term * e * Fraction(1, k)
+        out = out + term
+    return out
+
+
+def compose_by_sum(f, s):
+    """sum_d f_d * q^d * exp(s)^d from series products and q_shift."""
+    growth = exp_by_sum(s)
+    out = QSeries.zero(f.ring, 1, f.trunc)
+    epow = QSeries.one(f.ring, 1, f.trunc)
+    for d in range(f.trunc + 1):
+        out = out + (epow * f.coefficient((d,))).q_shift((d,))
+        epow = epow * growth
+    return out
+
+
+def laurent_classes(ring, nilpotent=False):
+    """Laurent classes with t-exponents -2..1; nilpotent ones lack scalars."""
+    exps = [e for e in ring.monomials() if any(e) or not nilpotent]
+    frac = st.fractions(min_value=-6, max_value=6, max_denominator=3).filter(
+        bool)
+    coh = st.dictionaries(st.sampled_from(exps), frac, min_size=1, max_size=2)
+    return st.dictionaries(st.integers(-2, 1), coh, min_size=1,
+                           max_size=2).map(
+        lambda terms: LaurentClass(ring, {j: CohClass(ring, c)
+                                          for j, c in terms.items()}))
+
+
+@st.composite
+def laurent_series(draw, nvars=None, ring=R2, max_trunc=4):
+    """Series in one or two q-variables over ring, D <= max_trunc.
+
+    About half carry a nilpotent degree-zero term.
+    """
+    if nvars is None:
+        nvars = draw(st.sampled_from((1, 2)))
+    trunc = draw(st.integers(1, max_trunc))
+    terms = draw(st.dictionaries(st.sampled_from(degree_vectors(nvars, trunc)),
+                                 laurent_classes(ring), max_size=3))
+    if draw(st.booleans()):
+        terms[(0,) * nvars] = draw(laurent_classes(ring, nilpotent=True))
+    return QSeries(ring, nvars, trunc, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(laurent_series())
+def test_exp_matches_defining_sum(e):
+    assert qs_exp(e) == exp_by_sum(e)
+
+
+@settings(max_examples=25, deadline=None)
+@given(laurent_series(nvars=2))
+def test_exp_inverse_two_variables(a):
+    one = QSeries.one(a.ring, 2, a.trunc)
+    assert qs_exp(a) * qs_exp(-a) == one
+
+
+def scalar_substitutions(ring, trunc):
+    frac = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+    return st.lists(frac, min_size=trunc, max_size=trunc).map(
+        lambda cs: QSeries(ring, 1, trunc,
+                           {(d + 1,): LaurentClass.t_power(ring, 0, c)
+                            for d, c in enumerate(cs) if c}))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_compose_matches_defining_sum(data):
+    f = data.draw(laurent_series(nvars=1))
+    s = data.draw(scalar_substitutions(f.ring, f.trunc))
+    assert qs_compose(f, s) == compose_by_sum(f, s)
+
+
+def test_compose_substitution_without_linear_term():
+    # s starts at q^2, so exp(k*s) has zero coefficients below degree 2
+    s = QSeries(R, 1, 4, {(2,): LaurentClass.t_power(R, 0, 1),
+                          (3,): LaurentClass.t_power(R, 0, Fraction(2, 3))})
+    h_over_t = LaurentClass(R, {-1: CohClass(R, {(1,): 2})})
+    for f in (scalar(R, 1, 1), scalar(R, 1, 1) + scalar(R, 2, -3),
+              QSeries(R, 1, 4, {(1,): h_over_t})):
+        got = qs_compose(f, s)
+        assert got == compose_by_sum(f, s)
+        assert all(isinstance(c, (int, Fraction))
+                   for cls in got.terms.values()
+                   for j, coh in cls.terms.items() for c in coh.coeffs.values())
+
+
+@settings(max_examples=10, deadline=None)
+@given(scalar_substitutions(Ring(("H",), (4,)), 4))
+def test_compose_quantum_lefschetz_series(s):
+    # I-function coefficients are Laurent classes with H-dependence
+    f = i_function(3, 2, 4)
+    assert not f.is_scalar()
+    assert qs_compose(f, s) == compose_by_sum(f, s)

@@ -244,6 +244,57 @@ def test_quantum_matrix_classical_part():
             assert m.entry(row, col).get((0,), 0) == expected
 
 
+def expected_quantum_matrix(table, divisor_index):
+    """Classical cup plus d_div * invariant(a, b, d) / norm in row top - b."""
+    spec = table.ring_spec
+    ring = spec.ring
+    monos = spec.monomials()
+    entries = {}
+    for a in monos:
+        column = entries[a] = {}
+        up = tuple(e + (i == divisor_index) for i, e in enumerate(a))
+        if ring.admits(up):
+            column[up] = {(0,) * spec.nvars: Fraction(1)}
+        for d, b in product(table.degrees(), monos):
+            val = d[divisor_index] * table.invariant(a, b, d) / ring.norm
+            if val:
+                row = tuple(t - e for t, e in zip(ring.top_exp, b))
+                column.setdefault(row, {})[d] = val
+    return entries
+
+
+@pytest.mark.parametrize("table", [
+    lambda: reconstruct_two_point(j_projective(2, 3)),
+    lambda: reconstruct_two_point(j_projective(3, 3)),
+    lambda: p1xp1_table(3),
+    lambda: reconstruct_two_point(p1xp2_jfun(3)),
+    lambda: quintic_table(2),
+], ids=["P2", "P3", "P1xP1", "P1xP2", "quintic"])
+def test_quantum_matrix_entries_are_invariants(table):
+    table = table()
+    for i in range(len(table.ring_spec.ring.gens)):
+        entries = quantum_mult_matrix(table, i).entries
+        assert entries == expected_quantum_matrix(table, i)
+        assert any(d != (0,) * table.ring_spec.nvars
+                   for column in entries.values()
+                   for poly in column.values() for d in poly)
+
+
+def test_quantum_matrix_total_bound_drops_top():
+    # the ring of test_invariant_total_bound_drops_top: g_{(1,0),1,0} is
+    # nonzero, but every invariant is 0, so only the classical cup remains
+    ring = Ring(("H1", "H2"), (2, 2), total=1)
+    p1 = RingSpec.projective(1)
+    spec = RingSpec("product", components=(p1, p1), ring=ring)
+    g = LaurentClass.from_coh(ring.generator("H1") + ring.generator("H2"), -1)
+    table = TwoPointTable(spec, 1, {((1, 0), (0, 0)): g})
+    for i in range(2):
+        entries = quantum_mult_matrix(table, i).entries
+        assert entries == expected_quantum_matrix(table, i)
+    assert quantum_mult_matrix(table, 0).entries == {
+        (0, 0): {(1, 0): {(0, 0): 1}}, (1, 0): {}, (0, 1): {}}
+
+
 def test_quantum_matrix_p1xp1_cross():
     m = quantum_mult_matrix(p1xp1_table(2), 1)
     # H2 * H1 is purely classical: both point constraints pin the ruling
