@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import NotInvertible, RingMismatch
-from .ring import CohClass, as_fraction, poly_add
+from .ring import CohClass, as_exact, poly_add
 
 
 class LaurentClass:
@@ -231,6 +231,13 @@ def laurent_invert(e):
     return sum(v[1:], v[0])
 
 
+def linear_power_series(c, k, terms):
+    """binom(-k, j) / c^(k+j) for j < terms, the coefficients of x^j t^(-k-j)
+    in (c*t + x)^-k, as numerators over one denominator; ints for an int c."""
+    return ([(-1) ** j * comb(k + j - 1, j) * c ** (terms - 1 - j)
+             for j in range(terms)], c ** (k + terms - 1))
+
+
 def invert_linear_power(c, x, k):
     """(c*t + x)^-k for a nonzero rational c, a nilpotent CohClass x and k >= 1.
 
@@ -239,12 +246,10 @@ def invert_linear_power(c, x, k):
     """
     if c == 0 or x.scalar_part != 0:
         raise NotInvertible("c*t + x needs c != 0 and x nilpotent")
-    c = as_fraction(c)
-    out = {}
-    power = x.ring.one()
-    j = 0
-    while not power.is_zero():
-        out[-k - j] = power * ((-1) ** j * comb(k + j - 1, j) / c ** (k + j))
+    nums, den = linear_power_series(as_exact(c), k, x.ring.nilpotency_bound)
+    out, power = {}, x.ring.one()
+    for j, a in enumerate(nums):
+        if power:
+            out[-k - j] = power * Fraction(a, den)
         power = power * x
-        j += 1
     return LaurentClass(x.ring, out)

@@ -11,9 +11,10 @@ polynomials in the Chern roots reduce to reading off one residue coefficient.
 import itertools
 from fractions import Fraction
 from math import comb, lcm, prod
+from operator import getitem, mul
 
 from .errors import MissingZetaEntry, RankDeficient, RepeatedWeight
-from .laurent import LaurentClass, invert_linear_power, laurent_invert
+from .laurent import LaurentClass, laurent_invert, linear_power_series
 from .linalg import ExactSolver
 from .ring import Ring
 
@@ -45,10 +46,11 @@ def zeta_ring(m, n):
 
 
 def combined_ring(m, n):
-    """Ring with h and all zeta generators, for pulled-back Grassmannian classes."""
+    """Ring of h and the zetas for pullbacks, cut at total degree band: that
+    ideal pushes to c * h^(b + |A| - fiberdim) = 0 in Q[h]/(h^n), losing none."""
     band = flag_band(m, n)
     gens = ("h",) + tuple("z%d" % s for s in range(1, m))
-    return Ring(gens, (n,) + (band + 1,) * (m - 1), Fraction(1))
+    return Ring(gens, (n,) + (band + 1,) * (m - 1), Fraction(1), total=band)
 
 
 def _as_weights(w, m):
@@ -118,10 +120,8 @@ def projective_fixed_locus_euler(i, w, n):
     ring = pv_ring(n)
     h = LaurentClass.from_coh(ring.generator("h"))
     out = LaurentClass.one(ring)
-    for s in range(1, m + 1):
-        if s == i:
-            continue
-        factor = h + LaurentClass.t_power(ring, 1, wv[s - 1] - wv[i - 1])
+    for w in wv[:i - 1] + wv[i:]:
+        factor = h + LaurentClass.t_power(ring, 1, w - wv[i - 1])
         out = out * factor ** n
     return out
 
@@ -137,6 +137,8 @@ def grassmann_integral_residue(n, tau):
         raise ValueError("residue extraction is implemented for m = 2")
     if n <= 2:
         raise ValueError("need n > 2")
+    if all(sum(e) != 2 * (n - 2) for e in tau.coeffs):
+        return Fraction(0)
     ring = pv_ring(n)
     h = LaurentClass.from_coh(ring.generator("h"))
     t = LaurentClass.t_power(ring, 1)
@@ -163,7 +165,8 @@ class ZetaTable:
 
     Entries cover all multi-exponents A with |A| <= fiberdim + n - 1; beyond
     that band the pushforward vanishes for degree reasons and lookups return
-    zero.  A missing entry inside the band raises MissingZetaEntry.
+    zero.  A missing entry inside the band raises MissingZetaEntry.  The
+    pullback check needs entries c * h^(|A| - fiberdim), as extracted ones are.
     """
 
     __slots__ = ("m", "n", "entries")
@@ -241,23 +244,36 @@ def _flag_level_rows(i, wv, n):
     """
     m = len(wv)
     band = flag_band(m, n)
-    denoms, us = [], []
+    denoms, powers = [], []
     for perm in _flags_from(i, m):
         w = [wv[p - 1] for p in perm]
         scale = prod(w[k] - w[j] for j, k in itertools.combinations(range(m), 2))
         cs = [w[s + 1] - w[s] for s in range(m - 1)]
         big_p = prod(cs)
         denoms.append([scale * big_p ** (L + 1) for L in range(band + 1)])
-        us.append([big_p // c for c in cs])
+        powers.append([[(big_p // c) ** a for a in range(band + 1)] for c in cs])
     dens = [lcm(*map(abs, level)) for level in zip(*denoms)]
     factors = [[den // x for den, x in zip(dens, d)] for d in denoms]
     rows = [{} for _ in range(band + 1)]
-    for a_exps in zeta_ring(m, n).monomials():
-        L = sum(a_exps)
-        x = sum(f[L] * prod(map(pow, u, a_exps)) for f, u in zip(factors, us))
-        if x:
-            rows[L][a_exps] = x
+    for L, row in enumerate(rows):
+        heads = itertools.product(range(L + 1), repeat=m - 2)  # A in lex order
+        for a_exps in [h + (L - sum(h),) for h in heads if sum(h) <= L]:
+            x = sum(f[L] * prod(map(getitem, pw, a_exps))
+                    for f, pw in zip(factors, powers))
+            if x:
+                row[a_exps] = x
     return list(zip(dens, rows))
+
+
+def _projective_level_coeffs(i, wv, n):
+    """[h^k t^-((m-1)n+k)] prod_(s != i) (h + (w_s - w_i)*t)^-n for k < n: the
+    factors' binomial series convolved in integers over one denominator."""
+    nums, den = [1] + [0] * (n - 1), 1
+    for w in wv[:i - 1] + wv[i:]:
+        series, d = linear_power_series(w - wv[i - 1], n, n)
+        nums = [sum(map(mul, nums[:k + 1], series[k::-1])) for k in range(n)]
+        den *= d
+    return [Fraction(x, den) for x in nums]
 
 
 def flag_pushforward_extract(m, n, weight_samples=None):
@@ -268,14 +284,17 @@ def flag_pushforward_extract(m, n, weight_samples=None):
     forward to the product of inverse Euler factors of the i-th fixed point in
     P(V).  Both sides are homogeneous (t and every class of degree 1), so the
     coefficient of t^-(e+L+m-1), e = m(m-1)/2, involves only the A of one
-    level |A| = L on the left, and one monomial c * h^(L - fiberdim) on the
-    right.  Each (sample, i, L) thus gives one equation in integers: the
-    numerators of _flag_level_rows over their common denominator D, times
-    the denominator of c, equal the numerator of c times D.  The
-    fraction-free solver keeps the levels apart, and each entry is rebuilt as
-    the monomial x * h^(L - fiberdim).  Raises RankDeficient, naming the
-    level and its rank, when the samples do not determine the table, and
-    Inconsistent when they contradict each other.
+    level |A| = L on the left, and one monomial c * h^k, k = L - fiberdim,
+    on the right: c = sum over j_s summing to k of prod_(s != i)
+    (-1)^j_s * binom(n+j_s-1, j_s) / (w_s - w_i)^(n+j_s), the convolution
+    that _projective_level_coeffs takes with no Laurent product.  Each
+    (sample, i, L) thus gives one equation in integers: the numerators of
+    _flag_level_rows over their common denominator D, times the denominator
+    of c, equal the numerator of c times D.  The fraction-free solver keeps
+    the levels apart, and each entry is rebuilt as the monomial
+    x * h^(L - fiberdim).  Raises RankDeficient, naming the level and its
+    rank, when the samples do not determine the table, and Inconsistent when
+    they contradict each other.
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -289,18 +308,12 @@ def flag_pushforward_extract(m, n, weight_samples=None):
 
     solver = ExactSolver()
     ring = pv_ring(n)
-    h = ring.generator("h")
     fd = fiberdim(m, n)
-    top = m * (m - 1) // 2 + m - 1  # t^-(top + L) carries level L
     for wv in samples:
         for i in range(1, m + 1):
-            rhs = LaurentClass.one(ring)
-            for s in range(m):
-                if s != i - 1:
-                    rhs = rhs * invert_linear_power(wv[s] - wv[i - 1], h, n)
+            rhs = _projective_level_coeffs(i, wv, n)
             for level, (den, row) in enumerate(_flag_level_rows(i, wv, n)):
-                k = level - fd
-                c = rhs.coeff((k,), -top - level) if k >= 0 else Fraction(0)
+                c = rhs[level - fd] if level >= fd else Fraction(0)
                 if c.denominator != 1:
                     row = {a: x * c.denominator for a, x in row.items()}
                 if row or c:
@@ -352,17 +365,15 @@ def verify_grassmann_pushforward(m, n, tau, w, ztable):
     """
     if tau.m != m:
         raise ValueError("tau has %d variables, expected %d" % (tau.m, m))
+    fd = fiberdim(m, n)
+    if any(set(c.coeffs) - {(sum(a) - fd,)} for a, c in ztable.entries.items()):
+        raise ValueError("table entries must be c * h^(|A| - fiberdim)")
     wv = _as_weights(w, m)
     cring = combined_ring(m, n)
     ring = pv_ring(n)
-    h_c = LaurentClass.from_coh(cring.generator("h"))
-    args = []
-    acc = h_c
-    args.append(acc)
-    for s in range(1, m):
-        acc = acc + LaurentClass.from_coh(cring.generator("z%d" % s))
-        args.append(acc)
-    tau_tilde = tau.evaluate(args)
+    args = itertools.accumulate(LaurentClass.from_coh(cring.generator(g))
+                                for g in cring.gens)
+    tau_tilde = tau.evaluate(list(args))
 
     h_p = LaurentClass.from_coh(ring.generator("h"))
     for i in range(1, m + 1):
@@ -376,8 +387,7 @@ def verify_grassmann_pushforward(m, n, tau, w, ztable):
                     for s in range(m)]
         rhs = tau.evaluate(rhs_args) * laurent_invert(
             projective_fixed_locus_euler(i, wv, n))
-        for j, c in lhs.terms.items():
-            for exps, v in c.coeffs.items():
-                if rhs.coeff(exps, j) != v:
-                    return False
+        if any(rhs.coeff(exps, j) != v for j, c in lhs.terms.items()
+               for exps, v in c.coeffs.items()):
+            return False
     return True

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from math import comb, factorial
 from pathlib import Path
 
@@ -264,6 +265,23 @@ def test_lopsided_power_is_not_symmetric(capsys):
     assert (code, out) == (2, "")
     assert err.startswith("NotSymmetric: ")
     assert "swapping q1 and q2" in err
+
+
+def test_degree_mismatch_prints_zero_at_once(capsys):
+    # dim G(2, 100000) is 199,996 and sigma(1) has degree 1: the answer is 0
+    # by degree alone, before any Laurent class is built
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, ["schubert", "--m", "2", "--n", "100000",
+                                     "--tau", "sigma(1)"])
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (0, "value\n0\n", "")
+
+
+def test_degree_short_circuit_still_checks_symmetry(capsys):
+    code, out, err = invoke(capsys, ["schubert", "--m", "2", "--n", "100000",
+                                     "--tau", "q1^2 + q1*q2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("NotSymmetric: ")
 
 
 def _schubert_value(capsys, m, n, tau):

@@ -1,21 +1,26 @@
+import functools
 import itertools
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from resloc import schubert
 from resloc.errors import MissingZetaEntry, RepeatedWeight
 from resloc.laurent import LaurentClass, laurent_invert
-from resloc.ring import CohClass
+from resloc.ring import CohClass, Ring
 from resloc.schubert import (ZetaTable, _as_weights, _flag_level_rows,
-                             _flags_from, closed_form_m2,
-                             default_weight_samples, fiberdim, flag_band,
-                             flag_fixed_locus_euler, flag_pushforward_extract,
+                             _flags_from, _projective_level_coeffs,
+                             closed_form_m2, default_weight_samples, fiberdim,
+                             flag_band, flag_fixed_locus_euler,
+                             flag_pushforward_extract,
                              grassmann_integral_residue, pv_ring,
+                             projective_fixed_locus_euler,
                              verify_euler_pushforward_identity,
                              verify_grassmann_pushforward, zeta_ring)
 from resloc.sympoly import (SymPoly, monomial_symmetric, schur_integral_oracle,
                             sym_power_top_chern)
+from resloc.tau_parser import parse_tau
 
 
 def test_weight_vector():
@@ -105,7 +110,7 @@ def test_extraction_and_identity(m, n):
             assert got == sum(a_exps) - fiberdim(m, n)
 
 
-@pytest.mark.parametrize("m,n", [(2, 4), (3, 4), (3, 5)])
+@pytest.mark.parametrize("m,n", [(2, 4), (3, 4), (3, 5), (3, 7)])
 def test_extraction_weight_independent(m, n):
     base = flag_pushforward_extract(m, n)
     shifted = [tuple((s + 3) ** i + 1 for i in range(m)) for s in range(6)]
@@ -135,6 +140,24 @@ def test_closed_form_flag_inverse_matches_generic(m):
                 got[-top - level] = CohClass(
                     ring, {a: Fraction(x, den) for a, x in row.items()})
         assert LaurentClass(ring, got) == generic, i
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_projective_level_coeffs_match_generic(m):
+    # the right side of extraction, c_k at h^k t^-((m-1)n+k), equals the
+    # generic inverse of the projective Euler class; unsorted weights with a
+    # negative one make some w_s - w_i negative
+    n = 5
+    w = _as_weights((5, -1, 2, 9)[:m], m)
+    ring = pv_ring(n)
+    for i in range(1, m + 1):
+        coeffs = _projective_level_coeffs(i, w, n)
+        assert len(coeffs) == n
+        assert all(type(c) is Fraction for c in coeffs)
+        closed = LaurentClass(ring, {-(m - 1) * n - k: ring.monomial((k,), c)
+                                     for k, c in enumerate(coeffs) if c})
+        generic = laurent_invert(projective_fixed_locus_euler(i, w, n))
+        assert closed == generic, i
 
 
 def test_zeta_table_accessors():
@@ -188,3 +211,56 @@ def test_verify_pullback_detects_corruption():
     w = (0, 1)
     assert verify_grassmann_pushforward(2, 4, tau, w, zt)
     assert not verify_grassmann_pushforward(2, 4, tau, w, bad)
+
+
+@functools.lru_cache(maxsize=None)
+def _table(m, n):
+    return flag_pushforward_extract(m, n)
+
+
+def _uncut_combined_ring(m, n):
+    band = flag_band(m, n)
+    gens = ("h",) + tuple("z%d" % s for s in range(1, m))
+    return Ring(gens, (n,) + (band + 1,) * (m - 1))
+
+
+def _pullback_cases():
+    """(m, n, tau, w, table) of the pullback tests above, then two that fail:
+    the corrupted table and the benchmark's sigma(1)^9 at (3, 6)."""
+    for n in (3, 4):
+        deg = 2 * (n - 2)
+        for a in range(deg // 2 + 1):
+            lam = tuple(x for x in (deg - a, a) if x)
+            yield 2, n, SymPoly.from_monomial_orbit(2, lam), (0, 1), _table(2, n)
+    for n, lams in ((4, [(1, 1, 1), (2, 1), (1, 1), (1,), (2, 2, 2)]),
+                    (5, [(2, 2, 2), (3, 2, 1), (1, 1, 1)])):
+        for lam in lams:
+            yield 3, n, SymPoly.from_schur(3, lam), (0, 1, 3), _table(3, n)
+    bad_entries = dict(_table(2, 4).entries)
+    bad_entries[(2,)] = bad_entries[(2,)] * 3
+    s2 = SymPoly.from_schur(2, (2,))
+    yield 2, 4, s2 * s2, (0, 1), ZetaTable(2, 4, bad_entries)
+    yield (3, 6, parse_tau("sigma(1)^9", 3), default_weight_samples(3, 1)[0],
+           _table(3, 6))
+
+
+def test_band_cut_pullback_matches_uncut_ring(monkeypatch):
+    # combined_ring drops h^b * zeta^A with b + |A| > band, which the table
+    # pushes to 0; the verdict of every case must equal the uncut ring's
+    cases = list(_pullback_cases())
+    assert schubert.combined_ring(3, 6).total == flag_band(3, 6)
+    cut = [verify_grassmann_pushforward(*case) for case in cases]
+    monkeypatch.setattr(schubert, "combined_ring", _uncut_combined_ring)
+    uncut = [verify_grassmann_pushforward(*case) for case in cases]
+    assert cut == uncut
+    assert cut == [True] * (len(cases) - 2) + [False, False]
+
+
+def test_verify_pullback_rejects_inhomogeneous_table():
+    # the band cut is exact only for entries c * h^(|A| - fiberdim)
+    entries = dict(_table(2, 4).entries)
+    entries[(3,)] = entries[(3,)] + pv_ring(4).one()
+    s2 = SymPoly.from_schur(2, (2,))
+    with pytest.raises(ValueError, match="fiberdim"):
+        verify_grassmann_pushforward(2, 4, s2 * s2, (0, 1),
+                                     ZetaTable(2, 4, entries))
