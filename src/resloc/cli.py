@@ -273,8 +273,7 @@ def _run_invariants(args):
     nested = {}
     for d in table.degrees():
         for a in monos:
-            for b in monos:
-                v = table.invariant(a, b, d)
+            for b, v in zip(monos, table.invariant_row(d, a, monos)):
                 if not v:
                     continue
                 rows.append([fmt_tuple(d), fmt_tuple(a), fmt_tuple(b),

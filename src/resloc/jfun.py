@@ -13,13 +13,14 @@ mirror transformation works on the I-function directly.
 """
 
 from fractions import Fraction
+from math import comb
 
 from .errors import DegenerateSystem, NormalizationFailed, NotDivisible
 from .fmt import fmt_tuple, laurent_to_json, scalar_series_to_json
 from .geometry import RingSpec
 from .laurent import LaurentClass, laurent_invert
 from .qseries import QSeries, qs_compose, qs_exp
-from .ring import CohClass
+from .ring import CohClass, Ring
 
 
 class JFunction(QSeries):
@@ -69,18 +70,22 @@ class JFunction(QSeries):
 
 
 def j_projective(n, trunc):
-    """The J-function of P^n: F_d is the inverse of prod_(k=1..d) (H + kt)^(n+1)."""
+    """The J-function of P^n: F_d is the inverse of prod_(k=1..d) (H + kt)^(n+1).
+
+    Each (H + kt)^(n+1) is sum_j C(n+1, j) k^(n+1-j) H^j t^(n+1-j), j <= n.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     if trunc < 0:
         raise ValueError("truncation must be >= 0")
     spec = RingSpec.projective(n)
     ring = spec.ring
-    h = LaurentClass.from_coh(ring.generator("H"))
     coeffs = {(0,): LaurentClass.one(ring)}
     denom = LaurentClass.one(ring)
     for d in range(1, trunc + 1):
-        denom = denom * (h + LaurentClass.t_power(ring, 1, d)) ** (n + 1)
+        denom = denom * LaurentClass(ring, {
+            n + 1 - j: ring.monomial((j,), comb(n + 1, j) * d ** (n + 1 - j))
+            for j in range(n + 1)})
         coeffs[(d,)] = laurent_invert(denom)
     return JFunction(spec, trunc, coeffs)
 
@@ -196,7 +201,10 @@ def mirror_normalize(i_fun):
     formed, since a_d never enters it.  With a_d = b_d = c_d = 0 the q^d
     coefficient of Jhat is f_d = sum_m P_m S_(d-m); each condition responds
     diagonally through S_0 = I_0 = lH, so the per-order solve divides by l,
-    and a zero l would make it singular.
+    and a zero l would make it singular.  The pass runs in Q[H]/(H^3), or
+    the full ring when n < 2: it reads only H and H^2, and a product never
+    lowers the H-degree, so the cut changes none of the coefficients it
+    reads.  t-exponents are not cut.
 
     After the last order Jhat is rebuilt in full by qs_exp and qs_compose
     and verified: the d = 0 term must be exactly lH and all d >= 1 terms must
@@ -215,12 +223,16 @@ def mirror_normalize(i_fun):
     if l == 0:
         raise DegenerateSystem("correction response is l = 0")
     inv_l = Fraction(1, l)
-    h_over_t = LaurentClass.from_coh(ring.generator("H"), -1)
-    zero = LaurentClass.zero(ring)
-    i_coeffs = [i_fun.coefficient(d) for d in range(trunc + 1)]
+    cut = Ring(("H",), (min(3, n + 1),))
+    h_over_t = LaurentClass.from_coh(cut.generator("H"), -1)
+    zero = LaurentClass.zero(cut)
+    i_coeffs = [i_fun.coefficient(d).map_coefficients(
+        lambda x: CohClass(cut, {e: v for e, v in x.coeffs.items()
+                                 if cut.admits(e)}), cut)
+                for d in range(trunc + 1)]
     a, b, c = [Fraction(0)], [Fraction(0)], [Fraction(0)]
     weighted = [zero]                   # k * E_k
-    prefactor = [LaurentClass.one(ring)]
+    prefactor = [LaurentClass.one(cut)]
     substituted = [i_coeffs[0]]
     growth = []                         # growth[k - 1][m] = [q^m] exp(k*a)
     for d in range(1, trunc + 1):
@@ -239,8 +251,8 @@ def mirror_normalize(i_fun):
         a.append(-fd.coeff((2,), -1) * inv_l if n >= 2 else Fraction(0))
         b.append(-fd.coeff((1,), 0) * inv_l)
         c.append(-fd.coeff((1,), -1) * inv_l)
-        e_d = (LaurentClass.t_power(ring, 0, b[d])
-               + LaurentClass.t_power(ring, -1, c[d]) + h_over_t * a[d])
+        e_d = (LaurentClass.t_power(cut, 0, b[d])
+               + LaurentClass.t_power(cut, -1, c[d]) + h_over_t * a[d])
         weighted.append(e_d * d)
         prefactor[d] = prefactor[d] + e_d
 

@@ -7,24 +7,24 @@ the combination
                + F_d(-t) * prod_i (H_i - d_i t)^(a_i)
 
 is polynomial in t, so the strictly negative part of the known terms
-determines G_d.  The recursion runs in integers.  Each degree's arguments
-F_d(-t) * prod_i (H_i - d_i t)^(a_i) are built once per reconstruction, as
-numerators over the denominator of F_d, and each stored G_d(H^e) is read as
-numerators over the lcm of its denominators; the known terms of one (d, a)
-are summed over one common denominator.  TwoPointTable.residual is the
-independent evaluator: it re-evaluates the expression in LaurentClass
-arithmetic from the stored table alone.  Degree vectors come from
-Ring.monomials in graded order, which fixes the row order of the CLI reports
-and lists every split's degrees before their sum.
+determines G_d.  The recursion runs in integers, on terms e * t^j keyed by
+one integer j*B + index(e), B the basis size: each degree's arguments and
+each G_d(H^e) are built once as numerators over one denominator, and the
+known terms of one (d, a) are summed over their common denominator.
+TwoPointTable.residual is the independent evaluator: it re-evaluates the
+expression in LaurentClass arithmetic from the stored table alone.  Degree
+vectors come from Ring.monomials in graded order, which fixes the row order
+of the CLI reports and lists every split's degrees before their sum.
 
 The k = 0 coefficient of G pairs to 2-point invariants, which assemble
 quantum multiplication by a divisor through the divisor axiom (the one
 imported fact external to the residue formalism).
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from operator import sub
 
 from .errors import Inconsistent, NoRelationFound, RankDeficient
@@ -81,22 +81,25 @@ class TwoPointTable:
     def _as_exps(self, a):
         return _as_tuple(a, len(self.ring_spec.ring.gens), "exponent")
 
-    def invariant(self, a, b, d):
-        """The 2-point invariant: integral of H^b * g_{d,a,0} over the target.
+    def invariant_row(self, d, a, bs):
+        """The 2-point invariants of H^a with each H^b in bs, at degree d.
 
-        That is norm * g_{d,a,0}[top - b], one coefficient.  When the ring's
-        total-degree bound drops the top monomial, or b is not a basis
-        exponent, the product H^b * g_{d,a,0} is formed and integrated.
+        Each integrates H^b * g_{d,a,0}, read once: norm * g_{d,a,0}[top - b].
+        When the ring's total-degree bound drops the top monomial, or some b
+        is not a basis exponent, each product H^b * g_{d,a,0} is integrated.
         """
-        d = self._as_degree(d)
-        a = self._as_exps(a)
-        b = self._as_exps(b)
         ring = self.ring_spec.ring
-        g = self.g(d, a, 0)
+        g = self.g(d, self._as_exps(a), 0)
+        bs = [self._as_exps(b) for b in bs]
         top = ring.top_exp
-        if ring.admits(b) and ring.admits(top):
-            return g.coeff(tuple(map(sub, top, b))) * ring.norm
-        return integrate(ring.monomial(b, 1) * g)
+        if ring.admits(top) and all(map(ring.admits, bs)):
+            return [g.coeffs.get(tuple(map(sub, top, b)), 0) * ring.norm
+                    for b in bs]
+        return [integrate(ring.monomial(b, 1) * g) for b in bs]
+
+    def invariant(self, a, b, d):
+        """The 2-point invariant <H^a, H^b>_d, by invariant_row."""
+        return self.invariant_row(d, a, [b])[0]
 
     def residual(self, jfun, d, a):
         """Negative part of the full recursion expression; zero iff consistent.
@@ -134,96 +137,93 @@ def _splits(d):
             if any(d1) and d1 != d]
 
 
-def _integer_form(series):
-    """(L, [(t-exponent, exps, int)]) whose numerators over L sum to series."""
-    den = lcm(*{c.denominator for coh in series.terms.values()
-                for c in coh.coeffs.values()})
-    return den, [(j, e, c.numerator * (den // c.denominator))
-                 for j, coh in series.terms.items()
-                 for e, c in coh.coeffs.items()]
+def _accumulate(ring, monos, direct, parts):
+    """The entry -neg_part(direct + sum of G_d1(argument) over parts).
 
-
-def _accumulate(ring, direct, parts, forms):
-    """direct + sum of G_d1(argument) over parts, as one LaurentClass.
-
-    direct is an integer form (L, [(t-exponent, exps, int)]); each part is
-    an argument's integer form and the degree d1 of the G applied to it;
-    forms maps (d1, e) to the integer form of each nonzero G_d1(H^e).
-    All terms are summed over one common denominator, and each surviving
-    coefficient becomes one reduced Fraction.
+    A term e * t^j has the integer key j*B + index(e), B = len(monos), so
+    divmod(key, B) gives back (j, index(e)), negative j included, and the
+    negative part is the keys below 0.  direct and each argument are integer
+    forms (L, [(j*B, index(e), int)]); each part is an argument's form and
+    the forms (L, [(key, int)]) of the G_d1(H^e) applied to it, listed by
+    index(e).  All terms share one denominator; returns the entry and its
+    form, reduced by one gcd.
     """
-    pairs = [(den * g[0], j, n, g[1]) for den, nums, d1 in parts
-             for j, e, n in nums if (g := forms.get((d1, e)))]
+    pairs = [(den * g[0], jb, n, g[1]) for den, nums, gs in parts
+             for jb, e, n in nums if (g := gs[e])[1]]
     den = lcm(direct[0], *{p[0] for p in pairs})
-    acc = {(j, e): n * (den // direct[0]) for j, e, n in direct[1]}
-    for pden, j, n, gnums in pairs:
+    acc = defaultdict(int, {jb + e: n * (den // direct[0])
+                            for jb, e, n in direct[1]})
+    for pden, jb, n, gnums in pairs:
         n *= den // pden
-        for k, ge, gn in gnums:
-            acc[j + k, ge] = acc.get((j + k, ge), 0) + n * gn
+        for key, gn in gnums:
+            acc[jb + key] += n * gn
+    common = gcd(den, *(n for key, n in acc.items() if key < 0))
+    nums = [(key, -n // common) for key, n in acc.items() if n and key < 0]
+    den //= common
     terms = {}
-    for (j, e), n in acc.items():
-        if n:
-            terms.setdefault(j, {})[e] = Fraction(n, den)
+    for key, n in nums:
+        j, e = divmod(key, len(monos))
+        terms.setdefault(j, {})[monos[e]] = Fraction(n, den)
     return LaurentClass(ring, {j: CohClass(ring, coeffs)
-                               for j, coeffs in terms.items()})
+                               for j, coeffs in terms.items()}), (den, nums)
 
 
 def _arguments(jfun, d2):
     """F_d2(-t) * prod_i (H_i - d2_i * t)^(a_i) for every basis a.
 
-    Each argument is an integer form (L, [(t-exponent, exps, int)]); one L
-    clears the denominators of F_d2 and serves every a, since the linear
-    factors have integer coefficients.  The argument for a is the one for
-    a - e_i, i its first nonzero slot, times one linear factor; the basis
-    lists a - e_i before a.
+    Each argument is an integer form (L, [(j*B, index(e), int)]) in the key
+    of _accumulate; one L clears the denominators of F_d2 and serves every
+    a, since the linear factors have integer coefficients.  The argument for
+    a is the one for a - e_i, i its first nonzero slot, times one linear
+    factor; the basis lists a - e_i before a.
     """
     monos = jfun.ring_spec.monomials()
-    basis = {m: m for m in monos}
-    # raised[i][e] is e + e_i as the basis' own tuple, for every basis e
-    # whose raise is still a basis exponent
-    raised = [{e: basis[up] for e in monos
-               if (up := e[:i] + (e[i] + 1,) + e[i + 1:]) in basis}
+    size = len(monos)
+    index = {m: k for k, m in enumerate(monos)}
+    # raised[i][index(e)] is index(e + e_i), for every basis e whose raise
+    # is still a basis exponent
+    raised = [{index[e]: index[up] for e in monos
+               if (up := e[:i] + (e[i] + 1,) + e[i + 1:]) in index}
               for i in range(len(d2))]
-    den, nums = _integer_form(jfun.coefficient(d2))
-    args = {}
-    for a in monos:
-        i = next((i for i, e in enumerate(a) if e), None)
-        if i is None:
-            args[a] = {(j, e): n if j % 2 == 0 else -n
-                       for j, e, n in nums}
-            continue
+    coeffs = [(j, index[e], c) for j, coh in jfun.coefficient(d2).terms.items()
+              for e, c in coh.coeffs.items()]
+    den = lcm(*{c.denominator for _, _, c in coeffs})
+    # F_d2(-t) for a = 0, the first basis exponent
+    args = {monos[0]: {j * size + e: (-1 if j % 2 else 1) * c.numerator
+                       * (den // c.denominator) for j, e, c in coeffs}}
+    for a in monos[1:]:
+        i = next(i for i, e in enumerate(a) if e)
         up = raised[i]
-        shift = -d2[i]
         out = {}
-        for (j, e), n in args[a[:i] + (a[i] - 1,) + a[i + 1:]].items():
-            if e in up:
-                out[j, up[e]] = out.get((j, up[e]), 0) + n
-            if shift:
-                out[j + 1, e] = out.get((j + 1, e), 0) + shift * n
+        for key, n in args[a[:i] + (a[i] - 1,) + a[i + 1:]].items():
+            if (e := key % size) in up:
+                out[key - e + up[e]] = out.get(key - e + up[e], 0) + n
+            if d2[i]:
+                out[key + size] = out.get(key + size, 0) - d2[i] * n
         args[a] = out
-    return {a: (den, [(j, e, n) for (j, e), n in acc.items() if n])
+    return {a: (den, [(key - key % size, key % size, n)
+                      for key, n in acc.items() if n])
             for a, acc in args.items()}
 
 
 def reconstruct_two_point(jfun):
     """Build the two-point table from a J-function, degree by degree.
 
-    Each degree's arguments and each nonzero entry's integer form are built
-    once and kept, outside the table, until the table is complete.
+    Each degree's arguments and each entry's integer form are built once
+    and kept, outside the table, until the table is complete.
     """
     spec = jfun.ring_spec
+    monos = spec.monomials()
     table = TwoPointTable(spec, jfun.trunc, {})
-    arguments = {}
-    forms = {}
+    arguments, forms = {}, {}
     for d in degree_vectors(spec.nvars, jfun.trunc):
         arguments[d] = _arguments(jfun, d)
-        splits = [(d1, arguments[d2]) for d1, d2 in _splits(d)]
+        splits = [(forms[d1], arguments[d2]) for d1, d2 in _splits(d)]
+        forms[d] = []
         for a, direct in arguments[d].items():
-            known = _accumulate(spec.ring, direct, [
-                (*args[a], d1) for d1, args in splits], forms)
-            entry = table.table[(d, a)] = -neg_part(known)
-            if entry:
-                forms[d, a] = _integer_form(entry)
+            table.table[d, a], form = _accumulate(spec.ring, monos, direct, [
+                (*args[a], gs) for gs, args in splits])
+            forms[d].append(form)
     return table
 
 

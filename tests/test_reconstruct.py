@@ -111,16 +111,21 @@ def test_invariant_symmetry():
 
 
 def test_invariant_reads_top_coefficient():
-    # the one-coefficient read equals integrating H^b * g_{d,a,0}
+    # the one-coefficient read, by the single invariant and by the row of
+    # one g_{d,a,0}, equals integrating H^b * g_{d,a,0}; the row also takes
+    # an exponent one past the top, which is no basis exponent
     for table in [reconstruct_two_point(j_projective(2, 2)), p1xp1_table(2),
                   reconstruct_two_point(p1xp2_jfun(4)), quintic_table(3)]:
         spec = table.ring_spec
         ring = spec.ring
+        bs = spec.monomials() + [tuple(e + 1 for e in ring.top_exp)]
         for d in table.degrees():
             for a in spec.monomials():
-                for b in spec.monomials():
-                    assert table.invariant(a, b, d) == integrate(
-                        ring.monomial(b) * table.g(d, a, 0)), (d, a, b)
+                expected = [integrate(ring.monomial(b) * table.g(d, a, 0))
+                            for b in bs]
+                assert table.invariant_row(d, a, bs) == expected, (d, a)
+                for b, v in zip(spec.monomials(), expected):
+                    assert table.invariant(a, b, d) == v, (d, a, b)
 
 
 def test_invariant_total_bound_drops_top():
@@ -131,8 +136,11 @@ def test_invariant_total_bound_drops_top():
     g = LaurentClass.from_coh(ring.generator("H1") + ring.generator("H2"), -1)
     table = TwoPointTable(spec, 1, {((1, 0), (0, 0)): g})
     assert table.g((1, 0), (0, 0), 0).coeff((0, 1)) == 1
-    for b in [(0, 0), (1, 0), (0, 1)]:
+    bs = [(0, 0), (1, 0), (0, 1)]
+    for b in bs:
         assert table.invariant((0, 0), b, (1, 0)) == 0
+    assert table.invariant_row((1, 0), (0, 0), bs) == [
+        integrate(ring.monomial(b) * g.coefficient(-1)) for b in bs] == [0] * 3
 
 
 def test_invariant_dimension_window():
@@ -390,12 +398,18 @@ def hostile_jfunctions(draw):
                       for slot, n, p in zip(chosen, nums, primes)})
 
 
-@pytest.mark.parametrize("case", ["P1", "P2", "P1xP1", "P1xP2", "quintic"])
+@pytest.mark.parametrize("case", ["P1", "P2", "P10", "P1xP1", "P1xP1xP1",
+                                  "P1xP2", "quintic"])
 def test_recursion_recomputed_in_laurent_arithmetic(case):
-    # re-evaluating the defining expression must leave no negative t-powers
+    # re-evaluating the defining expression must leave no negative t-powers;
+    # P10 keys terms over an 11-element basis, P1xP1xP1 over three generators
     jfun = {"P1": lambda: j_projective(1, 3),
             "P2": lambda: j_projective(2, 2),
+            "P10": lambda: j_projective(10, 2),
             "P1xP1": lambda: j_product(j_projective(1, 3), j_projective(1, 3)),
+            "P1xP1xP1": lambda: j_product(j_product(j_projective(1, 3),
+                                                    j_projective(1, 3)),
+                                          j_projective(1, 3)),
             "P1xP2": lambda: p1xp2_jfun(4),
             "quintic": lambda: hypersurface_jfun(4, 5, 2)}[case]()
     table = reconstruct_two_point(jfun)
