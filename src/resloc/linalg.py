@@ -15,10 +15,29 @@ reduction, a stored row after each step; an int right-hand side stays an int
 while the content divides it.  solution() divides once per unknown.
 Unknowns are any sortable hashable keys and the pivot is the smallest; the
 reduced row echelon form is unique, so repeated runs eliminate identically.
+An unknown whose stored row holds no other variable has pivot +-1; with an
+int right-hand side it is determined, and an incoming row with an int
+right-hand side has it substituted by integer products before any gcd or
+scaling.
+
+modular_candidate solves a square-or-taller integer system modulo the
+Mersenne prime MODULUS = 2^61 - 1 and rebuilds each value by rational
+reconstruction (Wang, Guy & Davenport 1982): the extended Euclidean
+algorithm on (MODULUS, x) stops at the first remainder below isqrt(MODULUS)
+~ 1.5e9, so every integer of absolute value below that bound comes back (the
+largest flag table entry at m = 3, n = 12 is 15,927,912).
+The candidate is certified exactly by an ExactSolver fed the unit rows
+{v: den} = num and then every row of the system: each row is then a
+substitution check.  Rows with N pivots modulo the prime are independent
+over Q, so the system has at most one solution, and a candidate that
+satisfies every row exactly is it.  When fewer rows are independent modulo
+the prime, a value does not reconstruct, or the check raises Inconsistent,
+the caller falls back to exact elimination of every row.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 
 from .errors import Inconsistent, RankDeficient
 
@@ -64,6 +83,15 @@ class ExactSolver:
         returns values of the same kind.
         """
         pivots = self.pivots
+        if type(rhs) is int:
+            rest = {}
+            for v, c in row.items():
+                known = pivots.get(v)
+                if known and not known[1] and type(known[2]) is int:
+                    rhs -= c * known[0] * known[2]
+                else:
+                    rest[v] = c
+            row = rest
         num = lcm(*(c.denominator for c in row.values()))
         row = {v: c.numerator * (num // c.denominator)
                for v, c in row.items() if c}
@@ -117,3 +145,60 @@ class ExactSolver:
                     free_unknowns=[stray])
             out[v] = rhs / Fraction(p)
         return out
+
+
+MODULUS = 2 ** 61 - 1
+_BOUND = isqrt(MODULUS)
+
+
+def _rational(x):
+    """n/d = x modulo MODULUS with |n|, d < isqrt(MODULUS), or None."""
+    r0, r1, t0, t1 = MODULUS, x, 0, 1
+    while r1 >= _BOUND:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) >= _BOUND or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def modular_candidate(rows, unknowns):
+    """The solution of integer rows modulo MODULUS, rebuilt as fractions.
+
+    rows are (row, rhs) pairs, each row an {unknown: int} dictionary over
+    the given unknowns and rhs an int.  Rows are eliminated in order until
+    every unknown has a pivot.  Returns {unknown: Fraction}, or None when
+    fewer rows are independent modulo MODULUS or a value does not
+    reconstruct.  The candidate is unchecked (see the module docstring).
+    """
+    unknowns = list(unknowns)
+    index = {v: k for k, v in enumerate(unknowns)}
+    size = len(unknowns)
+    echelon = []  # (pivot column, row from that column on, pivot 1, rhs last)
+    for row, rhs in rows:
+        vec = [0] * size + [rhs % MODULUS]
+        for v, c in row.items():
+            vec[index[v]] = c % MODULUS
+        for col, tail in echelon:
+            c = vec[col] % MODULUS
+            if c:
+                vec[col:] = [x - c * y for x, y in zip(vec[col:], tail)]
+        vec = [x % MODULUS for x in vec]
+        col = next((k for k, x in enumerate(vec[:size]) if x), None)
+        if col is not None:
+            inv = pow(vec[col], -1, MODULUS)
+            echelon.append((col, [x * inv % MODULUS for x in vec[col:]]))
+            if len(echelon) == size:
+                break
+    if len(echelon) < size:
+        return None
+    values = [0] * size
+    for col, tail in sorted(echelon, reverse=True):
+        values[col] = (tail[-1] - sum(map(mul, tail[1:-1], values[col + 1:]))
+                       ) % MODULUS
+    out = {}
+    for v, x in zip(unknowns, values):
+        out[v] = _rational(x)
+        if out[v] is None:
+            return None
+    return out

@@ -13,9 +13,10 @@ from fractions import Fraction
 from math import comb, lcm, prod
 from operator import getitem, mul
 
-from .errors import MissingZetaEntry, RankDeficient, RepeatedWeight
+from .errors import (Inconsistent, MissingZetaEntry, RankDeficient,
+                     RepeatedWeight)
 from .laurent import LaurentClass, laurent_invert, linear_power_series
-from .linalg import ExactSolver
+from .linalg import ExactSolver, modular_candidate
 from .ring import Ring
 
 
@@ -237,32 +238,47 @@ def _flag_level_rows(i, wv, n):
     P = prod_s c_s, u_s = P / c_s and L = |A|, that is
     u^A / (S * P^(L+1)), u^A = prod_s u_s^(a_s).
 
-    Returns one pair (D, {A: numerator}) per level L = 0..flag_band: summed
+    Yields one pair (D, {A: numerator}) per level L = 0..flag_band: summed
     over the flags of _flags_from(i, m), the coefficient of zeta^A is
     numerator / D, where D is the lcm of |S * P^(L+1)| over those flags.  An
-    A whose sum cancels is left out.
+    A whose sum cancels is left out.  Only the running S * P^(L+1) and the
+    powers u_s^a are kept between levels.
     """
     m = len(wv)
     band = flag_band(m, n)
-    denoms, powers = [], []
+    scaled, big_ps, powers = [], [], []
     for perm in _flags_from(i, m):
         w = [wv[p - 1] for p in perm]
         scale = prod(w[k] - w[j] for j, k in itertools.combinations(range(m), 2))
         cs = [w[s + 1] - w[s] for s in range(m - 1)]
         big_p = prod(cs)
-        denoms.append([scale * big_p ** (L + 1) for L in range(band + 1)])
+        scaled.append(scale * big_p)
+        big_ps.append(big_p)
         powers.append([[(big_p // c) ** a for a in range(band + 1)] for c in cs])
-    dens = [lcm(*map(abs, level)) for level in zip(*denoms)]
-    factors = [[den // x for den, x in zip(dens, d)] for d in denoms]
-    rows = [{} for _ in range(band + 1)]
-    for L, row in enumerate(rows):
+    for L in range(band + 1):
+        den = lcm(*map(abs, scaled))
+        factors = [den // x for x in scaled]
+        row = {}
         heads = itertools.product(range(L + 1), repeat=m - 2)  # A in lex order
         for a_exps in [h + (L - sum(h),) for h in heads if sum(h) <= L]:
-            x = sum(f[L] * prod(map(getitem, pw, a_exps))
+            x = sum(f * prod(map(getitem, pw, a_exps))
                     for f, pw in zip(factors, powers))
             if x:
                 row[a_exps] = x
-    return list(zip(dens, rows))
+        yield den, row
+        scaled = list(map(mul, scaled, big_ps))
+
+
+def _level_equations(i, wv, n):
+    """The integer equation (row, rhs) of each level L = 0..flag_band for
+    the fixed flags with first line i (see flag_pushforward_extract)."""
+    fd = fiberdim(len(wv), n)
+    coeffs = _projective_level_coeffs(i, wv, n)
+    for level, (den, row) in enumerate(_flag_level_rows(i, wv, n)):
+        c = coeffs[level - fd] if level >= fd else Fraction(0)
+        if c.denominator != 1:
+            row = {a: x * c.denominator for a, x in row.items()}
+        yield row, c.numerator * den
 
 
 def _projective_level_coeffs(i, wv, n):
@@ -290,11 +306,12 @@ def flag_pushforward_extract(m, n, weight_samples=None):
     that _projective_level_coeffs takes with no Laurent product.  Each
     (sample, i, L) thus gives one equation in integers: the numerators of
     _flag_level_rows over their common denominator D, times the denominator
-    of c, equal the numerator of c times D.  The fraction-free solver keeps
-    the levels apart, and each entry is rebuilt as the monomial
-    x * h^(L - fiberdim).  Raises RankDeficient, naming the level and its
-    rank, when the samples do not determine the table, and Inconsistent when
-    they contradict each other.
+    of c, equal the numerator of c times D.  Each level is solved modulo a
+    prime and certified exactly (see the linalg module docstring); if any
+    level fails, one fraction-free ExactSolver takes every row in (sample, i,
+    level) order.  Each entry is rebuilt as the monomial x * h^(L - fiberdim).
+    Raises RankDeficient, naming the level and its rank, when the samples do
+    not determine the table, and Inconsistent when they contradict each other.
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -306,21 +323,52 @@ def flag_pushforward_extract(m, n, weight_samples=None):
     if not samples:
         raise ValueError("at least one weight sample is required")
 
-    solver = ExactSolver()
+    unknowns = zeta_ring(m, n).monomials()
+    values = _certified_values(m, n, samples, unknowns)
+    if values is None:
+        values = _eliminated_values(m, n, samples, unknowns)
     ring = pv_ring(n)
     fd = fiberdim(m, n)
+    return ZetaTable(m, n, {a: ring.monomial((sum(a) - fd,), x) if x
+                            else ring.zero() for a, x in values.items()})
+
+
+def _certified_values(m, n, samples, unknowns):
+    """Each level's values from its candidate modulo a prime, certified
+    exactly by an ExactSolver (see the linalg module docstring), with only
+    one level's rows alive at a time; None when some level fails."""
+    streams = [_level_equations(i, wv, n)
+               for wv in samples for i in range(1, m + 1)]
+    levels = itertools.groupby(unknowns, key=sum)
+    values = {}
+    for equations, (_, cols) in zip(zip(*streams), levels):
+        equations = [(row, rhs) for row, rhs in equations if row or rhs]
+        candidate = modular_candidate(equations, cols)
+        if candidate is None:
+            return None
+        solver = ExactSolver()
+        for a, x in candidate.items():
+            solver.add_equation({a: x.denominator}, x.numerator)
+        try:
+            for row, rhs in equations:
+                solver.add_equation(row, rhs)
+        except Inconsistent:
+            return None
+        values.update(candidate)
+    return values
+
+
+def _eliminated_values(m, n, samples, unknowns):
+    """All values from one ExactSolver fed every row in (sample, i, level)
+    order; it raises the RankDeficient or Inconsistent that the table has."""
+    solver = ExactSolver()
     for wv in samples:
         for i in range(1, m + 1):
-            rhs = _projective_level_coeffs(i, wv, n)
-            for level, (den, row) in enumerate(_flag_level_rows(i, wv, n)):
-                c = rhs[level - fd] if level >= fd else Fraction(0)
-                if c.denominator != 1:
-                    row = {a: x * c.denominator for a, x in row.items()}
-                if row or c:
-                    solver.add_equation(row, c.numerator * den)
-    unknowns = zeta_ring(m, n).monomials()
+            for row, rhs in _level_equations(i, wv, n):
+                if row or rhs:
+                    solver.add_equation(row, rhs)
     try:
-        values = solver.solution(unknowns)
+        return solver.solution(unknowns)
     except RankDeficient as exc:
         level = sum(exc.free_unknowns[0])
         cols = [a for a in unknowns if sum(a) == level]
@@ -328,8 +376,6 @@ def flag_pushforward_extract(m, n, weight_samples=None):
         raise RankDeficient("%s; level |A| = %d has rank %d of %d unknowns"
                             % (exc, level, rank, len(cols)),
                             free_unknowns=exc.free_unknowns) from None
-    return ZetaTable(m, n, {a: ring.monomial((sum(a) - fd,), x) if x
-                            else ring.zero() for a, x in values.items()})
 
 
 def verify_euler_pushforward_identity(m, n, ztable, w):

@@ -57,22 +57,14 @@ def p_pow(a, k, m):
     return out
 
 
-def complete_homogeneous(m, k):
-    """h_k in m variables: the sum of all monomials of total degree k."""
-    if k < 0:
-        return {}
-    out = {}
-    # each multiset of variables is one monomial, met exactly once
-    for bars in itertools.combinations_with_replacement(range(m), k):
-        e = [0] * m
-        for i in bars:
-            e[i] += 1
-        out[tuple(e)] = 1
-    return out
-
-
 def schur_poly(m, partition):
-    """Schur polynomial s_partition in m variables via the h-determinant."""
+    """Schur polynomial s_partition in m variables by the branching rule.
+
+    s_lam(q_1..q_m) is the sum of q_m^(|lam| - |mu|) * s_mu(q_1..q_(m-1))
+    over the mu interlacing lam, lam_1 >= mu_1 >= lam_2 >= ... >= mu_(m-1)
+    >= lam_m (Macdonald, Symmetric Functions and Hall Polynomials, I.5.11),
+    so every coefficient is a positive int and each s_mu is built once.
+    """
     lam = tuple(int(x) for x in partition)
     if any(a < 0 for a in lam):
         raise ValueError("partition entries must be nonnegative")
@@ -81,18 +73,24 @@ def schur_poly(m, partition):
     lam = tuple(a for a in lam if a > 0)
     if len(lam) > m:
         return {}
-    if not lam:
-        return p_const(m, 1)
-    r = len(lam)
+    return _branching(lam + (0,) * (m - len(lam)), {})
+
+
+def _branching(lam, memo):
+    """s_lam in len(lam) variables; memo holds the s_mu already built."""
+    if len(lam) <= 1:
+        return {lam: 1}
+    if lam in memo:
+        return memo[lam]
     out = {}
-    for sigma in itertools.permutations(range(r)):
-        sign = _perm_sign(sigma)
-        prod = p_const(m, 1)
-        for i in range(r):
-            prod = p_mul(prod, complete_homogeneous(m, lam[i] - i + sigma[i]))
-            if not prod:
-                break
-        out = poly_add(out, p_scale(prod, sign))
+    size = sum(lam)
+    tops = [a + 1 for a in lam[:-1]]
+    for mu in itertools.product(*map(range, lam[1:], tops)):
+        last = (size - sum(mu),)
+        for e, c in _branching(mu, memo).items():
+            e += last
+            out[e] = out.get(e, 0) + c
+    memo[lam] = out
     return out
 
 

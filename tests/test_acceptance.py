@@ -1,7 +1,8 @@
 """Acceptance gate: one test per numbered criterion, exact comparisons only.
 
 Each test covers one criterion end to end and asserts its stated wall-clock
-budget.  Criterion 6 keeps degree >= 2 hypersurface invariants as a frozen
+budget; the last test holds the north-star extraction at m = 4, n = 6.
+Criterion 6 keeps degree >= 2 hypersurface invariants as a frozen
 regression snapshot (recorded on first run, compared afterwards).
 """
 
@@ -264,3 +265,16 @@ def test_criterion_9_randomized_kernel_properties():
             assert (a * b).truncate(k) == a.truncate(k) * b.truncate(k)
             cases += 1
         assert cases >= 1000
+
+
+def test_north_star_flag_extraction_m4_n6():
+    def family(seed):
+        rng = random.Random(seed)
+        return [tuple(rng.sample(range(1000), 4)) for _ in range(31)]
+
+    assert not set(family(1)) & set(family(2))
+    with budget(10):
+        first = flag_pushforward_extract(4, 6, family(1))
+        second = flag_pushforward_extract(4, 6, family(2))
+    assert len(first.entries) == 680
+    assert first == second

@@ -315,12 +315,10 @@ def _conjugate(lam):
 def test_schubert_duality_with_g2n(capsys, n):
     # G(n-2, n) = G(2, n) exchanges sigma_lambda with sigma_(lambda'); the
     # left side runs the Schur oracle for n >= 5, the right the residue.
-    # Classes have at most three rows: sigma of r rows expands r! products.
     m, dim = n - 2, 2 * (n - 2)
-    rows = min(m, 3)
     box = [lam for lam in (
-        (2,) * a + (1,) * b for a in range(rows + 1)
-        for b in range(rows + 1 - a)) if lam]
+        (2,) * a + (1,) * b for a in range(m + 1)
+        for b in range(m + 1 - a)) if lam]
     for lam, mu in itertools.combinations_with_replacement(box, 2):
         k = dim - sum(lam) - sum(mu)
         if k < 0:
@@ -351,12 +349,24 @@ def test_math_error_exit_code(capsys):
 
 
 def test_rank_deficient_names_level_and_rank(capsys):
-    # one sample gives three rows per level: level 3 has four unknowns
-    code, out, err = invoke(capsys, ["flag-table", "--m", "3", "--n", "6",
-                                     "--samples", "1"])
-    assert (code, out) == (3, "")
-    assert err == ("RankDeficient: 55 unknown(s) undetermined, e.g. (3, 0); "
-                   "level |A| = 3 has rank 3 of 4 unknowns\n")
+    # one sample gives three rows per level: level 3 has four unknowns; the
+    # messages come from exact elimination of every row in order
+    for args, err_want in [
+            ("--m 3 --n 6 --samples 1",
+             "55 unknown(s) undetermined, e.g. (3, 0); "
+             "level |A| = 3 has rank 3 of 4 unknowns"),
+            ("--m 3 --n 5 --weights 1,2,3",
+             "40 unknown(s) undetermined, e.g. (1, 1); "
+             "level |A| = 2 has rank 1 of 3 unknowns"),
+            ("--m 3 --n 6 --samples 2",
+             "28 unknown(s) undetermined, e.g. (6, 0); "
+             "level |A| = 6 has rank 6 of 7 unknowns"),
+            ("--m 4 --n 5 --samples 3",
+             "182 unknown(s) undetermined, e.g. (3, 0, 1); "
+             "level |A| = 4 has rank 12 of 15 unknowns")]:
+        code, out, err = invoke(capsys, ["flag-table"] + args.split())
+        assert (code, out) == (3, "")
+        assert err == "RankDeficient: %s\n" % err_want
 
 
 def test_flag_table_negative_weights(capsys):

@@ -1,14 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from resloc.errors import Inconsistent, RankDeficient
-from resloc.linalg import ExactSolver
+from resloc.linalg import MODULUS, ExactSolver, modular_candidate
 from resloc.ring import CohClass, Ring
 
 
@@ -220,3 +220,54 @@ def test_rational_system_matches_cramer(data):
     row, b = combos[0]
     with pytest.raises(Inconsistent):
         solver.add_equation(row, b + 1)
+
+
+@pytest.mark.parametrize("kind", [int, Fraction])
+def test_redundant_row_off_by_k_names_the_residual(kind):
+    # integer rows with an integral solution leave every unknown determined,
+    # so an int right side is reduced by substitution and a Fraction one by
+    # elimination; both name the residual k in the scale of the input row
+    rng = random.Random(20261020)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        x = [rng.randint(-50, 50) for _ in range(n)]
+        rows = [{j: rng.randint(-9, 9) for j in range(n)}
+                for _ in range(n + 2)]
+        rows += [{j: 1} for j in range(n)]
+        solver = ExactSolver()
+        for row in rows:
+            solver.add_equation(row, kind(sum(c * x[j]
+                                              for j, c in row.items())))
+        assert all(not prow and type(prhs) is kind
+                   for _, prow, prhs in solver.pivots.values())
+        combo = {j: 3 * rows[0].get(j, 0) - rows[1].get(j, 0)
+                 for j in range(n)}
+        k = rng.choice([-7, -1, 1, 4])
+        rhs = sum(c * x[j] for j, c in combo.items()) + k
+        with pytest.raises(Inconsistent) as exc:
+            solver.add_equation(combo, kind(rhs))
+        assert str(exc.value) == "equation reduced to 0 = %d" % k
+
+
+def test_modular_candidate_rebuilds_the_solution():
+    # x = 2/3, y = -5, z = 7; the first row is the sum of the next two, so
+    # one later row is dependent modulo the prime too and is skipped
+    rows = [({"x": 3, "y": 3, "z": 1}, -6), ({"x": 3, "y": 1}, -3),
+            ({"y": 2, "z": 1}, -3), ({"x": 3, "z": 1}, 9)]
+    assert modular_candidate(rows, ["x", "y", "z"]) == {
+        "x": Fraction(2, 3), "y": Fraction(-5), "z": Fraction(7)}
+    # too few independent rows
+    assert modular_candidate(rows[:3], ["x", "y", "z"]) is None
+    assert modular_candidate([({"x": 1}, 0), ({"x": 2}, 0)], ["x", "y"]) is None
+
+
+def test_modular_candidate_reconstruction_bound():
+    bound = isqrt(MODULUS)
+    for value in (bound - 1, -(bound - 1), Fraction(-12345, 6789)):
+        row = {"x": value.denominator}
+        assert modular_candidate([(row, value.numerator)], ["x"]) == {
+            "x": value}
+    # beyond the bound the candidate is None or wrong, never the value
+    for value in (bound, 10 ** 12, -(10 ** 18)):
+        got = modular_candidate([({"x": 1}, value)], ["x"])
+        assert got is None or got["x"] != value

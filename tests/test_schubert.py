@@ -1,11 +1,13 @@
 import functools
+import importlib.util
 import itertools
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from resloc import schubert
+from resloc import linalg, schubert
 from resloc.errors import MissingZetaEntry, RepeatedWeight
 from resloc.laurent import LaurentClass, laurent_invert
 from resloc.ring import CohClass, Ring
@@ -118,6 +120,47 @@ def test_extraction_weight_independent(m, n):
     assert base == again
 
 
+def count_fallbacks(monkeypatch):
+    """Record each run of the exact elimination over every row."""
+    calls = []
+    exact = schubert._eliminated_values
+
+    def spy(*args):
+        calls.append(args[:2])
+        return exact(*args)
+    monkeypatch.setattr(schubert, "_eliminated_values", spy)
+    return calls
+
+
+@pytest.mark.parametrize("modulus", [3, 101])
+def test_certified_extraction_survives_a_small_modulus(monkeypatch, modulus):
+    # a small prime gives wrong candidates or too few pivots; the exact
+    # check rejects them and the table comes from exact elimination
+    shapes = [(2, 5), (3, 6), (4, 5)]
+    expected = [flag_pushforward_extract(m, n) for m, n in shapes]
+    monkeypatch.setattr(linalg, "MODULUS", modulus)
+    calls = count_fallbacks(monkeypatch)
+    assert [flag_pushforward_extract(m, n) for m, n in shapes] == expected
+    assert calls
+
+
+def test_bench_shapes_need_no_fallback(monkeypatch):
+    bench = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("resloc_bench_jobs", bench)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    calls = count_fallbacks(monkeypatch)
+    for seed in (1, 2, 3):
+        for job in workloads.make_jobs("flag", seed):
+            m, n = job.info["m"], job.info["n"]
+            argv = job.argv
+            weights = [tuple(map(int, argv[k + 1].split(",")))
+                       for k, a in enumerate(argv) if a == "--weights"]
+            flag_pushforward_extract(m, n, weights or None)
+    flag_pushforward_extract(4, 5)
+    assert calls == []
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_closed_form_flag_inverse_matches_generic(m):
     # the integer level rows of extraction, numerators / D, equal the generic
@@ -130,7 +173,7 @@ def test_closed_form_flag_inverse_matches_generic(m):
     for i in range(1, m + 1):
         generic = sum((laurent_invert(flag_fixed_locus_euler(perm, w, n))
                        for perm in _flags_from(i, m)), LaurentClass.zero(ring))
-        rows = _flag_level_rows(i, w, n)
+        rows = list(_flag_level_rows(i, w, n))
         assert len(rows) == flag_band(m, n) + 1
         got = {}
         for level, (den, row) in enumerate(rows):

@@ -8,16 +8,52 @@ from hypothesis import strategies as st
 from resloc.errors import NotSymmetric
 from resloc.laurent import LaurentClass
 from resloc.ring import Ring
-from resloc.sympoly import (SymPoly, complete_homogeneous, monomial_symmetric,
-                            schur_expand, schur_integral_oracle, schur_poly,
+from resloc.ring import poly_add, poly_mul
+from resloc.sympoly import (SymPoly, monomial_symmetric, schur_expand,
+                            schur_integral_oracle, schur_poly,
                             sym_power_top_chern)
 from resloc.tau_parser import parse_tau
 
 
+def complete_homogeneous(m, k):
+    """h_k in m variables: every monomial of total degree k, once."""
+    out = {}
+    for bars in itertools.combinations_with_replacement(range(m), k):
+        e = [0] * m
+        for i in bars:
+            e[i] += 1
+        out[tuple(e)] = 1
+    return out
+
+
+def jacobi_trudi(m, lam):
+    """s_lam = det(h_(lam_i - i + j)), expanded as r! products."""
+    r = len(lam)
+    out = {}
+    for sigma in itertools.permutations(range(r)):
+        sign = (-1) ** sum(sigma[i] > sigma[j]
+                           for i, j in itertools.combinations(range(r), 2))
+        prod = {(0,) * m: sign}
+        for i in range(r):
+            k = lam[i] - i + sigma[i]
+            prod = poly_mul(prod, complete_homogeneous(m, k)) if k >= 0 else {}
+        out = poly_add(out, prod)
+    return out
+
+
 def test_complete_homogeneous():
-    assert complete_homogeneous(2, 0) == {(0, 0): 1}
-    assert complete_homogeneous(2, 2) == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
-    assert complete_homogeneous(2, -1) == {}
+    # the one-row Schur polynomial is h_k
+    assert schur_poly(2, (2,)) == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
+    for m, k in ((1, 3), (3, 0), (3, 4), (4, 3)):
+        assert schur_poly(m, (k,) if k else ()) == complete_homogeneous(m, k)
+
+
+def test_branching_rule_matches_jacobi_trudi():
+    for m in range(1, 6):
+        for lam in itertools.product(range(4), repeat=3):
+            if list(lam) == sorted(lam, reverse=True):
+                lam = tuple(x for x in lam if x)
+                assert schur_poly(m, lam) == jacobi_trudi(m, lam), (m, lam)
 
 
 def test_schur_hand_values():
@@ -139,9 +175,8 @@ def test_schur_products_expand_integrally(lam, mu):
 
 
 def test_raw_builders_keep_int_coefficients():
-    for m, k in ((1, 3), (3, 0), (3, 4)):
-        assert all(type(c) is int for c in complete_homogeneous(m, k).values())
-    for m, lam in ((2, (2, 1)), (3, (3, 1, 1)), (4, (2, 2))):
+    for m, lam in ((1, (3,)), (3, (4,)), (2, (2, 1)), (3, (3, 1, 1)),
+                   (4, (2, 2))):
         assert all(type(c) is int for c in schur_poly(m, lam).values())
     # SymPoly keeps its coefficients as given and rejects any other type
     tau = parse_tau("sigma(2,1)*sigma(1)^2 + 3*q1*q2*q3", 3)
