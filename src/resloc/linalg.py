@@ -26,13 +26,12 @@ reconstruction (Wang, Guy & Davenport 1982): the extended Euclidean
 algorithm on (MODULUS, x) stops at the first remainder below isqrt(MODULUS)
 ~ 1.5e9, so every integer of absolute value below that bound comes back (the
 largest flag table entry at m = 3, n = 12 is 15,927,912).
-The candidate is certified exactly by an ExactSolver fed the unit rows
-{v: den} = num and then every row of the system: each row is then a
-substitution check.  Rows with N pivots modulo the prime are independent
-over Q, so the system has at most one solution, and a candidate that
-satisfies every row exactly is it.  When fewer rows are independent modulo
-the prime, a value does not reconstruct, or the check raises Inconsistent,
-the caller falls back to exact elimination of every row.
+solve_integer_rows certifies one system's candidate with an ExactSolver fed
+the unit rows {v: den} = num and then every row: each row is a substitution
+check.  Rows with N pivots modulo the prime are independent over Q, so the
+system has at most one solution, and a candidate that satisfies every row
+exactly is it.  When there is no candidate or the check raises
+Inconsistent, that system's rows alone are eliminated exactly.
 """
 
 from fractions import Fraction
@@ -202,3 +201,35 @@ def modular_candidate(rows, unknowns):
         if out[v] is None:
             return None
     return out
+
+
+def _eliminate(rows, unknowns):
+    """Values of unknowns from one ExactSolver fed every row in order."""
+    solver = ExactSolver()
+    for row, rhs in rows:
+        solver.add_equation(row, rhs)
+    return solver.solution(unknowns)
+
+
+def solve_integer_rows(rows, unknowns):
+    """Unique {unknown: Fraction} of integer (row, rhs) pairs over unknowns.
+
+    Empty rows with a zero right side are dropped.  The modular candidate
+    is certified exactly, else the rows are eliminated exactly (see the
+    module docstring); raises RankDeficient or Inconsistent as
+    ExactSolver does.
+    """
+    rows = [(row, rhs) for row, rhs in rows if row or rhs]
+    unknowns = list(unknowns)
+    candidate = modular_candidate(rows, unknowns)
+    if candidate is not None:
+        solver = ExactSolver()
+        for v, x in candidate.items():
+            solver.add_equation({v: x.denominator}, x.numerator)
+        try:
+            for row, rhs in rows:
+                solver.add_equation(row, rhs)
+            return candidate
+        except Inconsistent:
+            pass
+    return _eliminate(rows, unknowns)

@@ -13,10 +13,9 @@ from fractions import Fraction
 from math import comb, lcm, prod
 from operator import getitem, mul
 
-from .errors import (Inconsistent, MissingZetaEntry, RankDeficient,
-                     RepeatedWeight)
+from .errors import MissingZetaEntry, RankDeficient, RepeatedWeight
 from .laurent import LaurentClass, laurent_invert, linear_power_series
-from .linalg import ExactSolver, modular_candidate
+from .linalg import solve_integer_rows
 from .ring import Ring
 
 
@@ -306,12 +305,12 @@ def flag_pushforward_extract(m, n, weight_samples=None):
     that _projective_level_coeffs takes with no Laurent product.  Each
     (sample, i, L) thus gives one equation in integers: the numerators of
     _flag_level_rows over their common denominator D, times the denominator
-    of c, equal the numerator of c times D.  Each level is solved modulo a
-    prime and certified exactly (see the linalg module docstring); if any
-    level fails, one fraction-free ExactSolver takes every row in (sample, i,
-    level) order.  Each entry is rebuilt as the monomial x * h^(L - fiberdim).
-    Raises RankDeficient, naming the level and its rank, when the samples do
-    not determine the table, and Inconsistent when they contradict each other.
+    of c, equal the numerator of c times D.  Levels share no unknown, and
+    solve_integer_rows solves each level's rows in (sample, i) order (see
+    the linalg module docstring).  Each entry is rebuilt as the monomial
+    x * h^(L - fiberdim).  Raises RankDeficient, naming the first deficient
+    level and its rank, when the samples do not determine the table, and
+    Inconsistent when they contradict each other.
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -323,59 +322,28 @@ def flag_pushforward_extract(m, n, weight_samples=None):
     if not samples:
         raise ValueError("at least one weight sample is required")
 
-    unknowns = zeta_ring(m, n).monomials()
-    values = _certified_values(m, n, samples, unknowns)
-    if values is None:
-        values = _eliminated_values(m, n, samples, unknowns)
+    streams = [_level_equations(i, wv, n)
+               for wv in samples for i in range(1, m + 1)]
+    levels = itertools.groupby(zeta_ring(m, n).monomials(), key=sum)
+    values, free = {}, []
+    for equations, (level, cols) in zip(zip(*streams), levels):
+        cols = list(cols)
+        try:
+            values.update(solve_integer_rows(equations, cols))
+        except RankDeficient as exc:
+            if not free:
+                deficient = (level, len(cols) - len(exc.free_unknowns),
+                             len(cols))
+            free += exc.free_unknowns
+    if free:
+        raise RankDeficient("%d unknown(s) undetermined, e.g. %r; level |A| "
+                            "= %d has rank %d of %d unknowns"
+                            % ((len(free), free[0]) + deficient),
+                            free_unknowns=free)
     ring = pv_ring(n)
     fd = fiberdim(m, n)
     return ZetaTable(m, n, {a: ring.monomial((sum(a) - fd,), x) if x
                             else ring.zero() for a, x in values.items()})
-
-
-def _certified_values(m, n, samples, unknowns):
-    """Each level's values from its candidate modulo a prime, certified
-    exactly by an ExactSolver (see the linalg module docstring), with only
-    one level's rows alive at a time; None when some level fails."""
-    streams = [_level_equations(i, wv, n)
-               for wv in samples for i in range(1, m + 1)]
-    levels = itertools.groupby(unknowns, key=sum)
-    values = {}
-    for equations, (_, cols) in zip(zip(*streams), levels):
-        equations = [(row, rhs) for row, rhs in equations if row or rhs]
-        candidate = modular_candidate(equations, cols)
-        if candidate is None:
-            return None
-        solver = ExactSolver()
-        for a, x in candidate.items():
-            solver.add_equation({a: x.denominator}, x.numerator)
-        try:
-            for row, rhs in equations:
-                solver.add_equation(row, rhs)
-        except Inconsistent:
-            return None
-        values.update(candidate)
-    return values
-
-
-def _eliminated_values(m, n, samples, unknowns):
-    """All values from one ExactSolver fed every row in (sample, i, level)
-    order; it raises the RankDeficient or Inconsistent that the table has."""
-    solver = ExactSolver()
-    for wv in samples:
-        for i in range(1, m + 1):
-            for row, rhs in _level_equations(i, wv, n):
-                if row or rhs:
-                    solver.add_equation(row, rhs)
-    try:
-        return solver.solution(unknowns)
-    except RankDeficient as exc:
-        level = sum(exc.free_unknowns[0])
-        cols = [a for a in unknowns if sum(a) == level]
-        rank = sum(a in solver.pivots for a in cols)
-        raise RankDeficient("%s; level |A| = %d has rank %d of %d unknowns"
-                            % (exc, level, rank, len(cols)),
-                            free_unknowns=exc.free_unknowns) from None
 
 
 def verify_euler_pushforward_identity(m, n, ztable, w):

@@ -349,8 +349,9 @@ def test_math_error_exit_code(capsys):
 
 
 def test_rank_deficient_names_level_and_rank(capsys):
-    # one sample gives three rows per level: level 3 has four unknowns; the
-    # messages come from exact elimination of every row in order
+    # one sample gives three rows per level: level 3 has four unknowns; each
+    # level is eliminated alone, and the message counts the free unknowns
+    # of every level and names the first deficient one
     for args, err_want in [
             ("--m 3 --n 6 --samples 1",
              "55 unknown(s) undetermined, e.g. (3, 0); "

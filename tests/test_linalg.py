@@ -7,8 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from resloc import linalg
 from resloc.errors import Inconsistent, RankDeficient
-from resloc.linalg import MODULUS, ExactSolver, modular_candidate
+from resloc.linalg import (MODULUS, ExactSolver, modular_candidate,
+                           solve_integer_rows)
 from resloc.ring import CohClass, Ring
 
 
@@ -271,3 +273,51 @@ def test_modular_candidate_reconstruction_bound():
     for value in (bound, 10 ** 12, -(10 ** 18)):
         got = modular_candidate([({"x": 1}, value)], ["x"])
         assert got is None or got["x"] != value
+
+
+def test_solve_integer_rows_certifies_large_values():
+    # 3e9 is above isqrt(MODULUS), so its candidate is wrong or missing and
+    # the rows are eliminated exactly; 2/3 reconstructs and is certified
+    big = 3 * 10 ** 9
+    assert big > isqrt(MODULUS)
+    rows = [({"x": 1, "y": 1}, big + 2), ({"x": 1, "y": -1}, big - 2),
+            ({"z": 3}, 2), ({"x": 2, "y": 2, "z": 3}, 2 * big + 6)]
+    assert solve_integer_rows(rows, ["x", "y", "z"]) == {
+        "x": Fraction(big), "y": Fraction(2), "z": Fraction(2, 3)}
+
+
+def test_solve_integer_rows_rank_deficient_matches_solver():
+    rows = [({"x": 1, "y": 1}, 3), ({"x": 2, "y": 2}, 6), ({}, 0)]
+    with pytest.raises(RankDeficient) as want:
+        solve(rows, ["x", "y", "z"])
+    with pytest.raises(RankDeficient) as got:
+        solve_integer_rows(rows, ["x", "y", "z"])
+    assert str(got.value) == str(want.value) == (
+        "2 unknown(s) undetermined, e.g. 'y'")
+    assert got.value.free_unknowns == want.value.free_unknowns == ("y", "z")
+
+
+def test_solve_integer_rows_inconsistent():
+    # two independent rows give a candidate, which the third row refutes
+    rows = [({"x": 1}, 1), ({"y": 1}, 2), ({"x": 1, "y": 1}, 4)]
+    with pytest.raises(Inconsistent):
+        solve_integer_rows(rows, ["x", "y"])
+    with pytest.raises(Inconsistent):
+        solve_integer_rows([({"x": 1}, 1), ({}, 5)], ["x"])
+
+
+def test_solve_integer_rows_drops_empty_rows(monkeypatch):
+    rows = []
+
+    class Spy(ExactSolver):
+        def add_equation(self, row, rhs):
+            rows.append(row)
+            super().add_equation(row, rhs)
+    monkeypatch.setattr(linalg, "ExactSolver", Spy)
+    empty = [({}, 0)] * 3
+    assert solve_integer_rows(empty + [({"x": 2}, 1)] + empty, ["x"]) == {
+        "x": Fraction(1, 2)}
+    assert solve_integer_rows(empty, []) == {}
+    with pytest.raises(RankDeficient):
+        solve_integer_rows(empty, ["x"])
+    assert rows and all(rows)

@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import itertools
+import time
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -121,21 +122,21 @@ def test_extraction_weight_independent(m, n):
 
 
 def count_fallbacks(monkeypatch):
-    """Record each run of the exact elimination over every row."""
+    """Record the unknowns of each system that is eliminated exactly."""
     calls = []
-    exact = schubert._eliminated_values
+    exact = linalg._eliminate
 
-    def spy(*args):
-        calls.append(args[:2])
-        return exact(*args)
-    monkeypatch.setattr(schubert, "_eliminated_values", spy)
+    def spy(rows, unknowns):
+        calls.append(unknowns)
+        return exact(rows, unknowns)
+    monkeypatch.setattr(linalg, "_eliminate", spy)
     return calls
 
 
 @pytest.mark.parametrize("modulus", [3, 101])
 def test_certified_extraction_survives_a_small_modulus(monkeypatch, modulus):
     # a small prime gives wrong candidates or too few pivots; the exact
-    # check rejects them and the table comes from exact elimination
+    # check rejects them and those levels come from exact elimination
     shapes = [(2, 5), (3, 6), (4, 5)]
     expected = [flag_pushforward_extract(m, n) for m, n in shapes]
     monkeypatch.setattr(linalg, "MODULUS", modulus)
@@ -159,6 +160,26 @@ def test_bench_shapes_need_no_fallback(monkeypatch):
             flag_pushforward_extract(m, n, weights or None)
     flag_pushforward_extract(4, 5)
     assert calls == []
+
+
+def test_large_entries_fall_back_level_by_level(monkeypatch):
+    # at m = 2, n = 30 the entries binom(29 + k, k) pass isqrt(MODULUS) for
+    # large k; only those levels are eliminated exactly, and in little time
+    n = 30
+    calls = count_fallbacks(monkeypatch)
+    table = flag_pushforward_extract(2, n)
+    levels = range(flag_band(2, n) + 1)
+    assert len(levels) == 58
+    assert [table.entry((j,)) for j in levels] == [
+        closed_form_m2(n, j) for j in levels]
+    assert all(len(cols) == 1 for cols in calls)
+    assert 0 < len(calls) < len(levels)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        flag_pushforward_extract(2, n)
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.01
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
