@@ -21,7 +21,7 @@ from .jfun import (i_function, j_product, j_projective, mirror_normalize,
 from .reconstruct import qh_relation, quantum_mult_matrix, reconstruct_two_point
 from .schubert import (default_weight_samples, fiberdim, flag_band,
                        flag_pushforward_extract, grassmann_integral_residue,
-                       verify_grassmann_pushforward)
+                       suggested_sample_count, verify_grassmann_pushforward)
 from .sympoly import schur_integral_oracle
 from .tau_parser import parse_tau
 
@@ -80,7 +80,8 @@ def _build_parser():
     weights.add_argument("--samples", type=int, default=None,
                          help="number of generated weight samples")
     p.add_argument("--verify-tau", default=None, metavar="EXPR",
-                   help="also verify the residue identity for this class")
+                   help="also check the table at a held-out weight and this "
+                        "class's integral against the Schur oracle")
     p.add_argument("--experimental", action="store_true",
                    help="allow m >= 3 verification")
     add_format(p)
@@ -176,13 +177,18 @@ def _run_flag_table(args):
         if args.samples < 1:
             raise UsageError("--samples must be >= 1")
         samples = default_weight_samples(args.m, args.samples)
-    ztable = flag_pushforward_extract(args.m, args.n, samples)
-    verified = None
     if args.verify_tau is not None:
         if args.m > 2 and not args.experimental:
             raise UsageError("m >= 3 verification needs --experimental")
         tau = parse_tau(args.verify_tau, args.m)
-        w = (samples or default_weight_samples(args.m, 1))[0]
+    ztable = flag_pushforward_extract(args.m, args.n, samples)
+    verified = None
+    if args.verify_tau is not None:
+        # the identity holds by construction at the samples: hold one out
+        used = samples or default_weight_samples(
+            args.m, suggested_sample_count(args.m, args.n))
+        w = next(w for w in default_weight_samples(args.m, len(used) + 1)
+                 if w not in used)
         verified = verify_grassmann_pushforward(args.m, args.n, tau, w, ztable)
     rows = []
     entries_json = {}

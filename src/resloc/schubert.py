@@ -10,13 +10,14 @@ polynomials in the Chern roots reduce to reading off one residue coefficient.
 
 import itertools
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, factorial, lcm, prod
 from operator import getitem, mul
 
 from .errors import MissingZetaEntry, RankDeficient, RepeatedWeight
 from .laurent import LaurentClass, laurent_invert, linear_power_series
 from .linalg import solve_integer_rows
 from .ring import Ring
+from .sympoly import schur_integral_oracle
 
 
 def fiberdim(m, n):
@@ -46,8 +47,8 @@ def zeta_ring(m, n):
 
 
 def combined_ring(m, n):
-    """Ring of h and the zetas for pullbacks, cut at total degree band: that
-    ideal pushes to c * h^(b + |A| - fiberdim) = 0 in Q[h]/(h^n), losing none."""
+    """Ring of h and the zetas for the flag route, cut at total degree band:
+    h^b * zeta^A pushes to c * h^(b + |A| - fiberdim), h^(n-1) only at band."""
     band = flag_band(m, n)
     gens = ("h",) + tuple("z%d" % s for s in range(1, m))
     return Ring(gens, (n,) + (band + 1,) * (m - 1), Fraction(1), total=band)
@@ -166,7 +167,8 @@ class ZetaTable:
     Entries cover all multi-exponents A with |A| <= fiberdim + n - 1; beyond
     that band the pushforward vanishes for degree reasons and lookups return
     zero.  A missing entry inside the band raises MissingZetaEntry.  The
-    pullback check needs entries c * h^(|A| - fiberdim), as extracted ones are.
+    flag-route integral of verify_grassmann_pushforward needs entries
+    c * h^(|A| - fiberdim), as extracted ones are.
     """
 
     __slots__ = ("m", "n", "entries")
@@ -221,7 +223,8 @@ class ZetaTable:
                 and self.entries == other.entries)
 
 
-def _suggested_sample_count(m, n):
+def suggested_sample_count(m, n):
+    """Default weight-sample count: enough rows for the largest level."""
     band = flag_band(m, n)
     largest_level = comb(band + m - 2, m - 2) if m > 2 else 1
     return max(3, -(-largest_level // m) + 1)
@@ -317,7 +320,7 @@ def flag_pushforward_extract(m, n, weight_samples=None):
     if n <= m:
         raise ValueError("need n > m")
     if weight_samples is None:
-        weight_samples = default_weight_samples(m, _suggested_sample_count(m, n))
+        weight_samples = default_weight_samples(m, suggested_sample_count(m, n))
     samples = [_as_weights(w, m) for w in weight_samples]
     if not samples:
         raise ValueError("at least one weight sample is required")
@@ -367,41 +370,29 @@ def verify_euler_pushforward_identity(m, n, ztable, w):
 
 
 def verify_grassmann_pushforward(m, n, tau, w, ztable):
-    """Check the residue identity for a pulled-back symmetric class.
-
-    The pullback substitutes the partial sums h, h + zeta_1,
-    h + zeta_1 + zeta_2, ... for the Chern roots; this is the unique
-    assignment that closes the identity at m = 2.  For each distinguished
-    index i, every monomial h^b t^j occurring in the pushforward of
-    pullback * (summed inverse Euler classes) must match the projective-side
-    coefficient exactly; right-side monomials outside the left support are
-    the irrelevant terms and are ignored.  Returns True on agreement.
-    """
+    """verify_euler_pushforward_identity at w, and the paper's flag route
+    _flag_route_integral(m, n, tau, ztable) equal to schur_integral_oracle.
+    Raises ValueError for a tau not in m variables, or a table entry that is
+    not c * h^(|A| - fiberdim), the entries the band cut is exact for."""
     if tau.m != m:
         raise ValueError("tau has %d variables, expected %d" % (tau.m, m))
     fd = fiberdim(m, n)
     if any(set(c.coeffs) - {(sum(a) - fd,)} for a, c in ztable.entries.items()):
         raise ValueError("table entries must be c * h^(|A| - fiberdim)")
-    wv = _as_weights(w, m)
-    cring = combined_ring(m, n)
-    ring = pv_ring(n)
-    args = itertools.accumulate(LaurentClass.from_coh(cring.generator(g))
-                                for g in cring.gens)
-    tau_tilde = tau.evaluate(list(args))
+    return (verify_euler_pushforward_identity(m, n, ztable, w)
+            and _flag_route_integral(m, n, tau, ztable)
+            == schur_integral_oracle(m, n, tau))
 
-    h_p = LaurentClass.from_coh(ring.generator("h"))
-    for i in range(1, m + 1):
-        lhs = LaurentClass.zero(ring)
-        for perm in _flags_from(i, m):
-            euler = flag_fixed_locus_euler(perm, wv, n).map_coefficients(
-                lambda c: cring.embed(c, 1), cring)
-            prod = tau_tilde * laurent_invert(euler)
-            lhs = lhs + prod.map_coefficients(ztable.push_combined, ring)
-        rhs_args = [h_p + LaurentClass.t_power(ring, 1, wv[s] - wv[i - 1])
-                    for s in range(m)]
-        rhs = tau.evaluate(rhs_args) * laurent_invert(
-            projective_fixed_locus_euler(i, wv, n))
-        if any(rhs.coeff(exps, j) != v for j, c in lhs.terms.items()
-               for exps, v in c.coeffs.items()):
-            return False
-    return True
+
+def _flag_route_integral(m, n, tau, ztable):
+    """Integral of tau over G(m, n) read off the flag table: (1/m!) times
+    [h^(n-1)] pi(tau(x) * prod_(i<j) (x_i - x_j)) at the Chern roots
+    x = (h, h + zeta_1, h + zeta_1 + zeta_2, ...), in combined_ring."""
+    cring = combined_ring(m, n)
+    x = list(itertools.accumulate(LaurentClass.from_coh(cring.generator(g))
+                                  for g in cring.gens))
+    integrand = tau.evaluate(x)
+    for xi, xj in itertools.combinations(x, 2):
+        integrand = integrand * (xi - xj)
+    pushed = ztable.push_combined(integrand.coefficient(0))
+    return pushed.coeff((n - 1,)) / factorial(m)

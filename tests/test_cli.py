@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 import resloc
 from resloc.cli import run
 from resloc.jfun import i_function, j_projective, mirror_normalize
-from resloc.schubert import grassmann_integral_residue
+from resloc.schubert import (default_weight_samples, flag_pushforward_extract,
+                             grassmann_integral_residue,
+                             suggested_sample_count)
 from resloc.sympoly import SymPoly
 
 
@@ -132,6 +134,60 @@ def test_flag_table_experimental_gate(capsys):
     code, out, _ = invoke(capsys, argv + ["--experimental"])
     assert code == 0
     assert "verified true" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--m", "3", "--n", "6", "--verify-tau", "sigma(1)^9", "--experimental"],
+    ["--m", "4", "--n", "5", "--verify-tau", "sigma(1)^4", "--experimental"]])
+def test_flag_table_verified_at_m3_and_m4(capsys, argv):
+    code, out, err = invoke(capsys, ["flag-table"] + argv)
+    assert (code, err) == (0, "")
+    assert out.endswith("\nverified true\n")
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--samples", "7"],
+    ["--weights", "0,1,3", "--weights", "0,2,5", "--weights", "1,3,8",
+     "--weights", "0,3,7", "--weights", "2,5,9"]])
+def test_flag_table_verifies_identity_outside_the_samples(
+        capsys, monkeypatch, argv):
+    seen = {}
+
+    def extract(m, n, samples=None):
+        seen["samples"] = samples or default_weight_samples(
+            m, suggested_sample_count(m, n))
+        return flag_pushforward_extract(m, n, samples)
+
+    def verify(m, n, tau, w, ztable):
+        seen["w"] = w
+        return True
+    monkeypatch.setattr(resloc.cli, "flag_pushforward_extract", extract)
+    monkeypatch.setattr(resloc.cli, "verify_grassmann_pushforward", verify)
+    code, _, _ = invoke(capsys, ["flag-table", "--m", "3", "--n", "5",
+                                 "--verify-tau", "sigma(1)^6",
+                                 "--experimental"] + argv)
+    assert code == 0
+    assert seen["w"] not in seen["samples"]
+    assert seen["w"] in default_weight_samples(3, len(seen["samples"]) + 1)
+
+
+@pytest.mark.parametrize("argv,err_want", [
+    (["--verify-tau", "sigma(1)"], "--experimental"),
+    (["--verify-tau", "q1^", "--experimental"], "TauSyntaxError"),
+    (["--verify-tau", "q1", "--experimental"], "NotSymmetric"),
+    # deficient weights: the bad tau is reported before any extraction
+    (["--samples", "1", "--verify-tau", "q1", "--experimental"],
+     "NotSymmetric")])
+def test_flag_table_usage_errors_exit_before_extraction(
+        capsys, monkeypatch, argv, err_want):
+    calls = []
+    monkeypatch.setattr(resloc.cli, "flag_pushforward_extract",
+                        lambda *args: calls.append(args))
+    code, out, err = invoke(capsys, ["flag-table", "--m", "3", "--n", "5"]
+                            + argv)
+    assert (code, out, calls) == (2, "", [])
+    assert err_want in err
 
 
 def test_flag_table_explicit_weights(capsys):

@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import itertools
+import random
 import time
 from fractions import Fraction
 from math import comb
@@ -13,7 +14,8 @@ from resloc.errors import MissingZetaEntry, RepeatedWeight
 from resloc.laurent import LaurentClass, laurent_invert
 from resloc.ring import CohClass, Ring
 from resloc.schubert import (ZetaTable, _as_weights, _flag_level_rows,
-                             _flags_from, _projective_level_coeffs,
+                             _flag_route_integral, _flags_from,
+                             _projective_level_coeffs,
                              closed_form_m2, default_weight_samples, fiberdim,
                              flag_band, flag_fixed_locus_euler,
                              flag_pushforward_extract,
@@ -289,8 +291,8 @@ def _uncut_combined_ring(m, n):
 
 
 def _pullback_cases():
-    """(m, n, tau, w, table) of the pullback tests above, then two that fail:
-    the corrupted table and the benchmark's sigma(1)^9 at (3, 6)."""
+    """(m, n, tau, w, table) of the pullback tests above, then the corrupted
+    table, which fails, and the benchmark's sigma(1)^9 at (3, 6)."""
     for n in (3, 4):
         deg = 2 * (n - 2)
         for a in range(deg // 2 + 1):
@@ -317,7 +319,7 @@ def test_band_cut_pullback_matches_uncut_ring(monkeypatch):
     monkeypatch.setattr(schubert, "combined_ring", _uncut_combined_ring)
     uncut = [verify_grassmann_pushforward(*case) for case in cases]
     assert cut == uncut
-    assert cut == [True] * (len(cases) - 2) + [False, False]
+    assert cut == [True] * (len(cases) - 2) + [False, True]
 
 
 def test_verify_pullback_rejects_inhomogeneous_table():
@@ -328,3 +330,55 @@ def test_verify_pullback_rejects_inhomogeneous_table():
     with pytest.raises(ValueError, match="fiberdim"):
         verify_grassmann_pushforward(2, 4, s2 * s2, (0, 1),
                                      ZetaTable(2, 4, entries))
+
+
+def _schur_products(m, n):
+    """sigma(1)^dim and every product of two Schur classes of G(m, n) whose
+    degrees add up to dim G(m, n)."""
+    dim = m * (n - m)
+    boxed = itertools.combinations_with_replacement(range(n - m, -1, -1), m)
+    parts = [tuple(x for x in lam if x) for lam in boxed if any(lam)]
+    yield parse_tau("sigma(1)^%d" % dim, m)
+    for lam, mu in itertools.combinations_with_replacement(parts, 2):
+        if sum(lam) + sum(mu) == dim:
+            yield SymPoly.from_schur(m, lam) * SymPoly.from_schur(m, mu)
+
+
+def _north_star_weights():
+    # the 31 weights of the north-star test in test_acceptance.py
+    rng = random.Random(1)
+    return [tuple(rng.sample(range(1000), 4)) for _ in range(31)]
+
+
+@pytest.mark.parametrize("m,n", [(3, 6), (3, 7), (4, 5), (4, 6)])
+def test_flag_route_integral_matches_schur_oracle(m, n):
+    zt = (flag_pushforward_extract(4, 6, _north_star_weights())
+          if (m, n) == (4, 6) else _table(m, n))
+    taus = list(_schur_products(m, n))
+    for tau in taus:
+        assert (_flag_route_integral(m, n, tau, zt)
+                == schur_integral_oracle(m, n, tau)), (m, n, tau)
+    assert _flag_route_integral(m, n, taus[0], zt) > 0
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_flag_route_integral_matches_residue_at_m2(n):
+    deg = 2 * (n - 2)
+    for a in range(deg // 2 + 1):
+        lam = tuple(x for x in (deg - a, a) if x)
+        tau = SymPoly.from_monomial_orbit(2, lam)
+        assert (_flag_route_integral(2, n, tau, _table(2, n))
+                == grassmann_integral_residue(n, tau)), (n, lam)
+
+
+def test_verify_detects_scaled_entry_at_m3():
+    zt = _table(3, 6)
+    top = (5, 7)  # |A| = band: pushes to c * h^(n-1)
+    assert sum(top) == flag_band(3, 6) and not zt.entries[top].is_zero()
+    bad = ZetaTable(3, 6, {**zt.entries, top: zt.entries[top] * 2})
+    tau = parse_tau("sigma(1)^9", 3)
+    w = (0, 7, 101)
+    assert verify_grassmann_pushforward(3, 6, tau, w, zt)
+    assert not verify_grassmann_pushforward(3, 6, tau, w, bad)
+    assert (_flag_route_integral(3, 6, tau, bad)
+            != schur_integral_oracle(3, 6, tau))
