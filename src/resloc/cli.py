@@ -83,7 +83,8 @@ def _build_parser():
                    help="also check the table at a held-out weight and this "
                         "class's integral against the Schur oracle")
     p.add_argument("--experimental", action="store_true",
-                   help="allow m >= 3 verification")
+                   help="accepted and ignored: --verify-tau works "
+                        "at every m")
     add_format(p)
 
     p = sub.add_parser("jfun", help="J-function coefficients of P^n")
@@ -178,8 +179,6 @@ def _run_flag_table(args):
             raise UsageError("--samples must be >= 1")
         samples = default_weight_samples(args.m, args.samples)
     if args.verify_tau is not None:
-        if args.m > 2 and not args.experimental:
-            raise UsageError("m >= 3 verification needs --experimental")
         tau = parse_tau(args.verify_tau, args.m)
     ztable = flag_pushforward_extract(args.m, args.n, samples)
     verified = None

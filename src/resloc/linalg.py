@@ -21,21 +21,21 @@ right-hand side has it substituted by integer products before any gcd or
 scaling.
 
 modular_candidate solves a square-or-taller integer system modulo the
-Mersenne prime MODULUS = 2^61 - 1 and rebuilds each value by rational
-reconstruction (Wang, Guy & Davenport 1982): the extended Euclidean
-algorithm on (MODULUS, x) stops at the first remainder below isqrt(MODULUS)
-~ 1.5e9, so every integer of absolute value below that bound comes back (the
-largest flag table entry at m = 3, n = 12 is 15,927,912).
+Mersenne prime MODULUS = 2^61 - 1 and lifts each value to the symmetric
+range |x| <= MODULUS // 2 ~ 1.15e18.  The flag table's unknowns are
+pushforwards of integral classes, so they are integers, and every one of
+them up to that bound comes back exactly.
 solve_integer_rows certifies one system's candidate with an ExactSolver fed
-the unit rows {v: den} = num and then every row: each row is a substitution
+the unit rows {v: 1} = x and then every row: each row is a substitution
 check.  Rows with N pivots modulo the prime are independent over Q, so the
 system has at most one solution, and a candidate that satisfies every row
-exactly is it.  When there is no candidate or the check raises
-Inconsistent, that system's rows alone are eliminated exactly.
+exactly is it.  A solution that is not integral, or lies outside the
+symmetric range, fails the check; when there is no candidate or the check
+raises Inconsistent, that system's rows alone are eliminated exactly.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import Inconsistent, RankDeficient
@@ -147,28 +147,17 @@ class ExactSolver:
 
 
 MODULUS = 2 ** 61 - 1
-_BOUND = isqrt(MODULUS)
-
-
-def _rational(x):
-    """n/d = x modulo MODULUS with |n|, d < isqrt(MODULUS), or None."""
-    r0, r1, t0, t1 = MODULUS, x, 0, 1
-    while r1 >= _BOUND:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if abs(t1) >= _BOUND or gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
 
 
 def modular_candidate(rows, unknowns):
-    """The solution of integer rows modulo MODULUS, rebuilt as fractions.
+    """The solution of integer rows modulo MODULUS, lifted to integers.
 
     rows are (row, rhs) pairs, each row an {unknown: int} dictionary over
     the given unknowns and rhs an int.  Rows are eliminated in order until
-    every unknown has a pivot.  Returns {unknown: Fraction}, or None when
-    fewer rows are independent modulo MODULUS or a value does not
-    reconstruct.  The candidate is unchecked (see the module docstring).
+    every unknown has a pivot.  Returns {unknown: int}, each value x
+    modulo MODULUS lifted to the symmetric range |x| <= MODULUS // 2, or
+    None when fewer rows are independent modulo MODULUS.  The candidate is
+    unchecked (see the module docstring).
     """
     unknowns = list(unknowns)
     index = {v: k for k, v in enumerate(unknowns)}
@@ -195,12 +184,9 @@ def modular_candidate(rows, unknowns):
     for col, tail in sorted(echelon, reverse=True):
         values[col] = (tail[-1] - sum(map(mul, tail[1:-1], values[col + 1:]))
                        ) % MODULUS
-    out = {}
-    for v, x in zip(unknowns, values):
-        out[v] = _rational(x)
-        if out[v] is None:
-            return None
-    return out
+    half = MODULUS // 2
+    return {v: x if x <= half else x - MODULUS
+            for v, x in zip(unknowns, values)}
 
 
 def _eliminate(rows, unknowns):
@@ -212,12 +198,12 @@ def _eliminate(rows, unknowns):
 
 
 def solve_integer_rows(rows, unknowns):
-    """Unique {unknown: Fraction} of integer (row, rhs) pairs over unknowns.
+    """Unique values of integer (row, rhs) pairs over unknowns.
 
     Empty rows with a zero right side are dropped.  The modular candidate
-    is certified exactly, else the rows are eliminated exactly (see the
-    module docstring); raises RankDeficient or Inconsistent as
-    ExactSolver does.
+    is certified exactly and returned as {unknown: int}, else the rows are
+    eliminated exactly and {unknown: Fraction} is returned (see the module
+    docstring); raises RankDeficient or Inconsistent as ExactSolver does.
     """
     rows = [(row, rhs) for row, rhs in rows if row or rhs]
     unknowns = list(unknowns)
@@ -225,7 +211,7 @@ def solve_integer_rows(rows, unknowns):
     if candidate is not None:
         solver = ExactSolver()
         for v, x in candidate.items():
-            solver.add_equation({v: x.denominator}, x.numerator)
+            solver.add_equation({v: 1}, x)
         try:
             for row, rhs in rows:
                 solver.add_equation(row, rhs)

@@ -126,14 +126,13 @@ def test_flag_table_verified(capsys):
     assert out.endswith("verified true\n")
 
 
-def test_flag_table_experimental_gate(capsys):
+def test_flag_table_verifies_m3_without_experimental(capsys):
+    # --experimental is accepted and changes nothing
     argv = ["flag-table", "--m", "3", "--n", "4", "--verify-tau", "sigma(1)"]
-    code, _, err = invoke(capsys, argv)
-    assert code == 2
-    assert "--experimental" in err
-    code, out, _ = invoke(capsys, argv + ["--experimental"])
-    assert code == 0
-    assert "verified true" in out
+    plain = invoke(capsys, argv)
+    assert plain[0] == 0
+    assert plain[1].endswith("\nverified true\n")
+    assert invoke(capsys, argv + ["--experimental"]) == plain
 
 
 @pytest.mark.parametrize("argv", [
@@ -165,20 +164,18 @@ def test_flag_table_verifies_identity_outside_the_samples(
     monkeypatch.setattr(resloc.cli, "flag_pushforward_extract", extract)
     monkeypatch.setattr(resloc.cli, "verify_grassmann_pushforward", verify)
     code, _, _ = invoke(capsys, ["flag-table", "--m", "3", "--n", "5",
-                                 "--verify-tau", "sigma(1)^6",
-                                 "--experimental"] + argv)
+                                 "--verify-tau", "sigma(1)^6"] + argv)
     assert code == 0
     assert seen["w"] not in seen["samples"]
     assert seen["w"] in default_weight_samples(3, len(seen["samples"]) + 1)
 
 
 @pytest.mark.parametrize("argv,err_want", [
-    (["--verify-tau", "sigma(1)"], "--experimental"),
-    (["--verify-tau", "q1^", "--experimental"], "TauSyntaxError"),
-    (["--verify-tau", "q1", "--experimental"], "NotSymmetric"),
+    (["--samples", "0", "--verify-tau", "sigma(1)"], "--samples must be"),
+    (["--verify-tau", "q1^"], "TauSyntaxError"),
+    (["--verify-tau", "q1"], "NotSymmetric"),
     # deficient weights: the bad tau is reported before any extraction
-    (["--samples", "1", "--verify-tau", "q1", "--experimental"],
-     "NotSymmetric")])
+    (["--samples", "1", "--verify-tau", "q1"], "NotSymmetric")])
 def test_flag_table_usage_errors_exit_before_extraction(
         capsys, monkeypatch, argv, err_want):
     calls = []

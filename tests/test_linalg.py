@@ -252,32 +252,37 @@ def test_redundant_row_off_by_k_names_the_residual(kind):
 
 
 def test_modular_candidate_rebuilds_the_solution():
-    # x = 2/3, y = -5, z = 7; the first row is the sum of the next two, so
+    # x = 2, y = -5, z = 7; the first row is the sum of the next two, so
     # one later row is dependent modulo the prime too and is skipped
-    rows = [({"x": 3, "y": 3, "z": 1}, -6), ({"x": 3, "y": 1}, -3),
-            ({"y": 2, "z": 1}, -3), ({"x": 3, "z": 1}, 9)]
-    assert modular_candidate(rows, ["x", "y", "z"]) == {
-        "x": Fraction(2, 3), "y": Fraction(-5), "z": Fraction(7)}
+    rows = [({"x": 3, "y": 3, "z": 1}, -2), ({"x": 3, "y": 1}, 1),
+            ({"y": 2, "z": 1}, -3), ({"x": 3, "z": 1}, 13)]
+    got = modular_candidate(rows, ["x", "y", "z"])
+    assert got == {"x": 2, "y": -5, "z": 7}
+    assert all(type(x) is int for x in got.values())
     # too few independent rows
     assert modular_candidate(rows[:3], ["x", "y", "z"]) is None
     assert modular_candidate([({"x": 1}, 0), ({"x": 2}, 0)], ["x", "y"]) is None
 
 
 def test_modular_candidate_reconstruction_bound():
-    bound = isqrt(MODULUS)
-    for value in (bound - 1, -(bound - 1), Fraction(-12345, 6789)):
+    # the symmetric lift returns every integer up to MODULUS // 2 exactly
+    half = MODULUS // 2
+    for value in (half, -half, 0, -1):
+        assert modular_candidate([({"x": 1}, value)], ["x"]) == {"x": value}
+    # beyond it, or off the integers, the candidate is never the value, and
+    # solve_integer_rows still returns the value by exact elimination
+    for value in (half + 1, -(half + 1), Fraction(-12345, 6789)):
         row = {"x": value.denominator}
-        assert modular_candidate([(row, value.numerator)], ["x"]) == {
+        got = modular_candidate([(row, value.numerator)], ["x"])
+        assert got["x"] != value
+        assert solve_integer_rows([(row, value.numerator)], ["x"]) == {
             "x": value}
-    # beyond the bound the candidate is None or wrong, never the value
-    for value in (bound, 10 ** 12, -(10 ** 18)):
-        got = modular_candidate([({"x": 1}, value)], ["x"])
-        assert got is None or got["x"] != value
 
 
 def test_solve_integer_rows_certifies_large_values():
-    # 3e9 is above isqrt(MODULUS), so its candidate is wrong or missing and
-    # the rows are eliminated exactly; 2/3 reconstructs and is certified
+    # 3e9 is above isqrt(MODULUS), where rational reconstruction stops, and
+    # the symmetric lift returns it exactly; z = 2/3 is no integer, so the
+    # candidate fails the exact check and the rows are eliminated exactly
     big = 3 * 10 ** 9
     assert big > isqrt(MODULUS)
     rows = [({"x": 1, "y": 1}, big + 2), ({"x": 1, "y": -1}, big - 2),

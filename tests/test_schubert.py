@@ -21,6 +21,7 @@ from resloc.schubert import (ZetaTable, _as_weights, _flag_level_rows,
                              flag_pushforward_extract,
                              grassmann_integral_residue, pv_ring,
                              projective_fixed_locus_euler,
+                             suggested_sample_count,
                              verify_euler_pushforward_identity,
                              verify_grassmann_pushforward, zeta_ring)
 from resloc.sympoly import (SymPoly, monomial_symmetric, schur_integral_oracle,
@@ -164,9 +165,10 @@ def test_bench_shapes_need_no_fallback(monkeypatch):
     assert calls == []
 
 
-def test_large_entries_fall_back_level_by_level(monkeypatch):
-    # at m = 2, n = 30 the entries binom(29 + k, k) pass isqrt(MODULUS) for
-    # large k; only those levels are eliminated exactly, and in little time
+def test_large_entries_need_no_fallback(monkeypatch):
+    # at m = 2, n = 30 the entries binom(29 + k, k) reach 3.0e16, inside the
+    # symmetric lift modulo 2^61 - 1, so every level is certified from its
+    # modular candidate, and in little time
     n = 30
     calls = count_fallbacks(monkeypatch)
     table = flag_pushforward_extract(2, n)
@@ -174,14 +176,28 @@ def test_large_entries_fall_back_level_by_level(monkeypatch):
     assert len(levels) == 58
     assert [table.entry((j,)) for j in levels] == [
         closed_form_m2(n, j) for j in levels]
-    assert all(len(cols) == 1 for cols in calls)
-    assert 0 < len(calls) < len(levels)
+    assert calls == []
     elapsed = []
     for _ in range(3):
         start = time.perf_counter()
         flag_pushforward_extract(2, n)
         elapsed.append(time.perf_counter() - start)
     assert min(elapsed) < 0.01
+
+
+def test_m3_n15_needs_no_fallback(monkeypatch):
+    # the largest entry at (3, 15) is about 3.5e9; default extraction
+    # certifies every level, and a second weight family gives the same table
+    m, n = 3, 15
+    calls = count_fallbacks(monkeypatch)
+    start = time.perf_counter()
+    table = flag_pushforward_extract(m, n)
+    elapsed = time.perf_counter() - start
+    assert calls == []
+    assert elapsed < 1.0
+    shifted = [tuple((s + 3) ** i + 1 for i in range(m))
+               for s in range(suggested_sample_count(m, n))]
+    assert flag_pushforward_extract(m, n, shifted) == table
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
