@@ -9,9 +9,11 @@ raised by the engine.
 import argparse
 import csv
 import functools
+import itertools
 import json
 import os
 import sys
+from math import gcd
 
 from .errors import (NotSymmetric, RepeatedWeight, ReslocError,
                      TauSyntaxError)
@@ -170,6 +172,25 @@ def _parse_weight_samples(args):
     return samples
 
 
+def _weight_shape(w):
+    """Sorted gaps of w over their gcd, up to reversal: the localization
+    identity at w is unchanged by a shift, a nonzero scale or a reordering."""
+    gaps = [b - a for a, b in itertools.pairwise(sorted(w))]
+    g = gcd(*gaps)
+    return min(tuple(d // g for d in gaps), tuple(d // g for d in gaps[::-1]))
+
+
+def _held_out_weight(m, used):
+    """The first default sample whose shape no used sample has; the default
+    samples' shapes differ, so one of len(used) + 1 is free."""
+    # every m = 2 weight has the shape (1,) and adds no equation: there,
+    # take the first default sample not used
+    key = _weight_shape if m > 2 else tuple
+    shapes = set(map(key, used))
+    return next(w for w in default_weight_samples(m, len(used) + 1)
+                if key(w) not in shapes)
+
+
 def _run_flag_table(args):
     if args.m < 2 or args.n <= args.m:
         raise UsageError("need 2 <= m < n")
@@ -186,8 +207,7 @@ def _run_flag_table(args):
         # the identity holds by construction at the samples: hold one out
         used = samples or default_weight_samples(
             args.m, suggested_sample_count(args.m, args.n))
-        w = next(w for w in default_weight_samples(args.m, len(used) + 1)
-                 if w not in used)
+        w = _held_out_weight(args.m, used)
         verified = verify_grassmann_pushforward(args.m, args.n, tau, w, ztable)
     rows = []
     entries_json = {}

@@ -11,7 +11,7 @@ polynomials in the Chern roots reduce to reading off one residue coefficient.
 import itertools
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
-from operator import getitem, mul
+from operator import mul
 
 from .errors import MissingZetaEntry, RankDeficient, RepeatedWeight
 from .laurent import LaurentClass, laurent_invert, linear_power_series
@@ -240,15 +240,17 @@ def _flag_level_rows(i, wv, n):
     P = prod_s c_s, u_s = P / c_s and L = |A|, that is
     u^A / (S * P^(L+1)), u^A = prod_s u_s^(a_s).
 
-    Yields one pair (D, {A: numerator}) per level L = 0..flag_band: summed
-    over the flags of _flags_from(i, m), the coefficient of zeta^A is
-    numerator / D, where D is the lcm of |S * P^(L+1)| over those flags.  An
-    A whose sum cancels is left out.  Only the running S * P^(L+1) and the
-    powers u_s^a are kept between levels.
+    Yields one pair (D, values) per level L = 0..flag_band: summed over the
+    flags of _flags_from(i, m), the coefficient of zeta^A is value / D, D the
+    lcm of |S * P^(L+1)| over those flags, and values lists every A of the
+    level in lex order, the order of zeta_ring(m, n).monomials(), zeros kept.
+    Each flag scans the levels keeping one list of u^A per suffix s..m-1 of
+    the coordinates: level L of suffix s is level L of suffix s+1 (the A with
+    a_s = 0) followed by u_s times each entry of level L-1 of suffix s, so
+    each (flag, A) costs one multiply.
     """
     m = len(wv)
-    band = flag_band(m, n)
-    scaled, big_ps, powers = [], [], []
+    scaled, big_ps, us, scans = [], [], [], []
     for perm in _flags_from(i, m):
         w = [wv[p - 1] for p in perm]
         scale = prod(w[k] - w[j] for j, k in itertools.combinations(range(m), 2))
@@ -256,31 +258,32 @@ def _flag_level_rows(i, wv, n):
         big_p = prod(cs)
         scaled.append(scale * big_p)
         big_ps.append(big_p)
-        powers.append([[(big_p // c) ** a for a in range(band + 1)] for c in cs])
-    for L in range(band + 1):
+        us.append([big_p // c for c in cs])
+        scans.append([[]] * m)
+    for L in range(flag_band(m, n) + 1):
+        for u, scan in zip(us, scans):
+            scan[-1] = [] if L else [1]
+            for s in reversed(range(m - 1)):
+                scan[s] = scan[s + 1] + [x * u[s] for x in scan[s]]
         den = lcm(*map(abs, scaled))
-        factors = [den // x for x in scaled]
-        row = {}
-        heads = itertools.product(range(L + 1), repeat=m - 2)  # A in lex order
-        for a_exps in [h + (L - sum(h),) for h in heads if sum(h) <= L]:
-            x = sum(f * prod(map(getitem, pw, a_exps))
-                    for f, pw in zip(factors, powers))
-            if x:
-                row[a_exps] = x
-        yield den, row
+        xs = [0] * len(scans[0][0])
+        for x_scale, scan in zip(scaled, scans):
+            f = den // x_scale
+            xs = [x + f * c for x, c in zip(xs, scan[0])]
+        yield den, xs
         scaled = list(map(mul, scaled, big_ps))
 
 
 def _level_equations(i, wv, n):
-    """The integer equation (row, rhs) of each level L = 0..flag_band for
+    """The integer equation (values, rhs) of each level L = 0..flag_band for
     the fixed flags with first line i (see flag_pushforward_extract)."""
     fd = fiberdim(len(wv), n)
     coeffs = _projective_level_coeffs(i, wv, n)
-    for level, (den, row) in enumerate(_flag_level_rows(i, wv, n)):
+    for level, (den, xs) in enumerate(_flag_level_rows(i, wv, n)):
         c = coeffs[level - fd] if level >= fd else Fraction(0)
         if c.denominator != 1:
-            row = {a: x * c.denominator for a, x in row.items()}
-        yield row, c.numerator * den
+            xs = [x * c.denominator for x in xs]
+        yield xs, c.numerator * den
 
 
 def _projective_level_coeffs(i, wv, n):
@@ -306,14 +309,16 @@ def flag_pushforward_extract(m, n, weight_samples=None):
     on the right: c = sum over j_s summing to k of prod_(s != i)
     (-1)^j_s * binom(n+j_s-1, j_s) / (w_s - w_i)^(n+j_s), the convolution
     that _projective_level_coeffs takes with no Laurent product.  Each
-    (sample, i, L) thus gives one equation in integers: the numerators of
+    (sample, i, L) thus gives one equation in integers: the values of
     _flag_level_rows over their common denominator D, times the denominator
-    of c, equal the numerator of c times D.  Levels share no unknown, and
-    solve_integer_rows solves each level's rows in (sample, i) order (see
-    the linalg module docstring).  Each entry is rebuilt as the monomial
-    x * h^(L - fiberdim).  Raises RankDeficient, naming the first deficient
-    level and its rank, when the samples do not determine the table, and
-    Inconsistent when they contradict each other.
+    of c, equal the numerator of c times D.  The values are keyed once by
+    the level's columns, the A of zeta_ring(m, n).monomials() with |A| = L,
+    zeros dropped.  Levels share no unknown, and solve_integer_rows solves
+    each level's rows in (sample, i) order (see the linalg module
+    docstring).  Each entry is rebuilt as the monomial x * h^(L - fiberdim).
+    Raises RankDeficient, naming the first deficient level and its rank,
+    when the samples do not determine the table, and Inconsistent when they
+    contradict each other.
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -331,8 +336,10 @@ def flag_pushforward_extract(m, n, weight_samples=None):
     values, free = {}, []
     for equations, (level, cols) in zip(zip(*streams), levels):
         cols = list(cols)
+        rows = [({a: x for a, x in zip(cols, xs) if x}, rhs)
+                for xs, rhs in equations]
         try:
-            values.update(solve_integer_rows(equations, cols))
+            values.update(solve_integer_rows(rows, cols))
         except RankDeficient as exc:
             if not free:
                 deficient = (level, len(cols) - len(exc.free_unknowns),

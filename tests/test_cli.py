@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import resloc
-from resloc.cli import run
+from resloc.cli import _held_out_weight, _weight_shape, run
 from resloc.jfun import i_function, j_projective, mirror_normalize
 from resloc.schubert import (default_weight_samples, flag_pushforward_extract,
                              grassmann_integral_residue,
@@ -148,7 +148,10 @@ def test_flag_table_verified_at_m3_and_m4(capsys, argv):
     [],
     ["--samples", "7"],
     ["--weights", "0,1,3", "--weights", "0,2,5", "--weights", "1,3,8",
-     "--weights", "0,3,7", "--weights", "2,5,9"]])
+     "--weights", "0,3,7", "--weights", "2,5,9"],
+    # (5, 6, 8) is a shift of the first default sample (0, 1, 3)
+    ["--weights", "5,6,8", "--weights", "0,2,5", "--weights", "1,3,8",
+     "--weights", "0,3,7"]])
 def test_flag_table_verifies_identity_outside_the_samples(
         capsys, monkeypatch, argv):
     seen = {}
@@ -166,8 +169,19 @@ def test_flag_table_verifies_identity_outside_the_samples(
     code, _, _ = invoke(capsys, ["flag-table", "--m", "3", "--n", "5",
                                  "--verify-tau", "sigma(1)^6"] + argv)
     assert code == 0
-    assert seen["w"] not in seen["samples"]
+    assert _weight_shape(seen["w"]) not in map(_weight_shape, seen["samples"])
     assert seen["w"] in default_weight_samples(3, len(seen["samples"]) + 1)
+
+
+def test_held_out_weight_has_a_new_shape():
+    # shift, negative scale and reordering keep the shape
+    assert _weight_shape((5, 6, 8)) == _weight_shape((0, -2, -6)) == (1, 2)
+    assert _weight_shape((8, 0, 2)) == (1, 3)
+    assert _held_out_weight(3, [(5, 6, 8)]) == (0, 2, 8)
+    # the bench's verify job: default (3, 6) uses shapes (1, 2)..(1, 7)
+    assert _held_out_weight(3, default_weight_samples(3, 6)) == (0, 7, 63)
+    # at m = 2 every weight has the shape (1,): the first unused sample
+    assert _held_out_weight(2, [(0, 1), (0, 3)]) == (0, 2)
 
 
 @pytest.mark.parametrize("argv,err_want", [

@@ -4,7 +4,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -215,13 +215,39 @@ def test_closed_form_flag_inverse_matches_generic(m):
         rows = list(_flag_level_rows(i, w, n))
         assert len(rows) == flag_band(m, n) + 1
         got = {}
-        for level, (den, row) in enumerate(rows):
-            assert den > 0 and all(type(x) is int for x in row.values())
-            assert all(sum(a) == level for a in row)
+        levels = itertools.groupby(ring.monomials(), key=sum)
+        for (den, xs), (level, cols) in zip(rows, levels):
+            assert den > 0 and all(type(x) is int for x in xs)
+            row = {a: Fraction(x, den) for a, x in zip(cols, xs) if x}
             if row:
-                got[-top - level] = CohClass(
-                    ring, {a: Fraction(x, den) for a, x in row.items()})
+                got[-top - level] = CohClass(ring, row)
         assert LaurentClass(ring, got) == generic, i
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_flag_level_rows_match_direct_sum(m):
+    # value / D at each A of the level's columns equals the sum over the
+    # flags of 1 / (S * prod_s c_s^(a_s+1)); at m = 5 the three head
+    # coordinates exercise the scan's entries with leading zeros
+    n = 6
+    w = _as_weights((5, -1, 2, 9, -4)[:m], m)
+    for i in range(1, m + 1):
+        terms = []
+        for perm in _flags_from(i, m):
+            x = [w[p - 1] for p in perm]
+            scale = prod(x[k] - x[j]
+                         for j, k in itertools.combinations(range(m), 2))
+            terms.append((scale, [x[s + 1] - x[s] for s in range(m - 1)]))
+        cols = itertools.groupby(zeta_ring(m, n).monomials(), key=sum)
+        rows = itertools.islice(_flag_level_rows(i, w, n),
+                                7 if m == 5 else None)
+        for (den, xs), (_, level_cols) in zip(rows, cols):
+            level_cols = list(level_cols)
+            assert len(xs) == len(level_cols)
+            want = [sum(Fraction(1, scale * prod(
+                c ** (a + 1) for c, a in zip(cs, a_exps)))
+                for scale, cs in terms) for a_exps in level_cols]
+            assert [Fraction(x, den) for x in xs] == want, (i, level_cols[0])
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
