@@ -56,11 +56,8 @@ class JFunction(QSeries):
                 return False
         return True
 
-    def __eq__(self, other):
-        if not isinstance(other, JFunction):
-            return NotImplemented
-        return (self.ring_spec == other.ring_spec and self.trunc == other.trunc
-                and self.terms == other.terms)
+    def _key(self):
+        return self.ring_spec, self.trunc, self.terms
 
     def to_json(self):
         coeffs = {fmt_tuple(d): laurent_to_json(self.terms[d])

@@ -10,10 +10,10 @@ from fractions import Fraction
 from math import comb
 
 from .errors import NotInvertible, RingMismatch
-from .ring import CohClass, as_exact, poly_add
+from .ring import CohClass, Sparse, as_exact, poly_add
 
 
-class LaurentClass:
+class LaurentClass(Sparse):
     """Sparse Laurent polynomial in t with CohClass coefficients."""
 
     __slots__ = ("ring", "terms")
@@ -43,9 +43,6 @@ class LaurentClass:
             return cls(ring, {})
         return cls(ring, {int(k): c})
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -67,19 +64,16 @@ class LaurentClass:
             return Fraction(0)
         return c.coeff(exps)
 
-    def _check_ring(self, other):
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise RingMismatch("cannot combine Laurent elements over %r and %r"
-                               % (self.ring, other.ring))
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LaurentClass.t_power(self.ring, 0, other)
-        if isinstance(other, CohClass):
-            if other.ring != self.ring:
-                raise RingMismatch("coefficient ring differs")
-            return LaurentClass.from_coh(other)
+    def _coerce(self, x):
+        if isinstance(x, (int, Fraction)):
+            return LaurentClass.t_power(self.ring, 0, x)
+        if isinstance(x, CohClass):
+            self._check_ring(x)
+            return LaurentClass.from_coh(x)
         return None
+
+    def _key(self):
+        return self.ring, self.terms
 
     def __add__(self, other):
         if not isinstance(other, LaurentClass):
@@ -89,20 +83,8 @@ class LaurentClass:
         self._check_ring(other)
         return LaurentClass(self.ring, poly_add(self.terms, other.terms))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LaurentClass(self.ring, {j: -c for j, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentClass):
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        return self.__add__(-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentClass):
@@ -132,14 +114,6 @@ class LaurentClass:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = LaurentClass.one(self.ring)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def shift(self, k):
         """Multiply by t^k."""
         return LaurentClass(self.ring, {j + k: c for j, c in self.terms.items()})
@@ -158,14 +132,6 @@ class LaurentClass:
             if not v.is_zero():
                 out[j] = v
         return LaurentClass(ring, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentClass):
-            coerced = self._coerce(other)
-            if coerced is None:
-                return NotImplemented
-            other = coerced
-        return self.ring == other.ring and self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:

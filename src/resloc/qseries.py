@@ -5,6 +5,10 @@ to a total degree bound D; multiplication drops anything beyond the bound, so
 the bound is a ring homomorphism from higher truncations.  Sums and products
 run through the ring kernel (poly_add, poly_mul with total = D).
 
+A QSeries is false exactly when it has no terms, as is_zero reports.  Its
++, -, * and == take an int, a Fraction or a LaurentClass as a constant
+series.
+
 qs_exp and qs_compose solve the power-series exponential recurrence (Knuth,
 TAOCP vol. 2, 4.7) degree by degree: O(D^2) coefficient products, not O(D^3).
 """
@@ -12,12 +16,12 @@ TAOCP vol. 2, 4.7) degree by degree: O(D^2) coefficient products, not O(D^3).
 from fractions import Fraction
 from operator import sub
 
-from .errors import NotExponentiable, RingMismatch
+from .errors import NotExponentiable
 from .laurent import LaurentClass
-from .ring import Ring, as_fraction, poly_add, poly_mul
+from .ring import Ring, Sparse, as_fraction, poly_add, poly_mul
 
 
-class QSeries:
+class QSeries(Sparse):
     """Polynomial in q_1..q_r of total degree <= trunc with Laurent coefficients."""
 
     __slots__ = ("ring", "nvars", "trunc", "terms")
@@ -45,9 +49,19 @@ class QSeries:
     def zero(cls, ring, nvars, trunc):
         return cls(ring, nvars, trunc, {})
 
+    def __bool__(self):
+        return bool(self.terms)
+
+    def _coerce(self, x):
+        if isinstance(x, (int, Fraction, LaurentClass)):
+            return QSeries.constant(self.ring, self.nvars, self.trunc, x)
+        return None
+
+    def _key(self):
+        return self.ring, self.nvars, self.trunc, self.terms
+
     def _check_compatible(self, other):
-        if self.ring != other.ring:
-            raise RingMismatch("series coefficients live in different rings")
+        self._check_ring(other)
         if self.nvars != other.nvars or self.trunc != other.trunc:
             raise ValueError("series shapes differ: %d vars deg %d vs %d vars deg %d"
                              % (self.nvars, self.trunc, other.nvars, other.trunc))
@@ -57,46 +71,31 @@ class QSeries:
         deg = (deg,) if isinstance(deg, int) else tuple(deg)
         return self.terms.get(deg, LaurentClass.zero(self.ring))
 
-    def is_zero(self):
-        return not self.terms
-
     def degrees(self):
         return sorted(self.terms)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, LaurentClass)):
-            other = QSeries.constant(self.ring, self.nvars, self.trunc, other)
         if not isinstance(other, QSeries):
-            return NotImplemented
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         self._check_compatible(other)
         return QSeries(self.ring, self.nvars, self.trunc,
                        poly_add(self.terms, other.terms))
-
-    __radd__ = __add__
 
     def __neg__(self):
         return QSeries(self.ring, self.nvars, self.trunc,
                        {d: -c for d, c in self.terms.items()})
 
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, LaurentClass)):
-            other = QSeries.constant(self.ring, self.nvars, self.trunc, other)
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.__add__(-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            out = {d: v * c for d, v in self.terms.items()} if c else {}
-            return QSeries(self.ring, self.nvars, self.trunc, out)
-        if isinstance(other, LaurentClass):
-            other = QSeries.constant(self.ring, self.nvars, self.trunc, other)
         if not isinstance(other, QSeries):
-            return NotImplemented
+            if isinstance(other, (int, Fraction)):
+                c = as_fraction(other)
+                out = {d: v * c for d, v in self.terms.items()} if c else {}
+                return QSeries(self.ring, self.nvars, self.trunc, out)
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         self._check_compatible(other)
         return QSeries(self.ring, self.nvars, self.trunc,
                        poly_mul(self.terms, other.terms, total=self.trunc))
@@ -140,14 +139,6 @@ class QSeries:
         for d, c in self.terms.items():
             out[d] = c.coefficient(0).scalar_part
         return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, LaurentClass)):
-            other = QSeries.constant(self.ring, self.nvars, self.trunc, other)
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return (self.ring == other.ring and self.nvars == other.nvars
-                and self.trunc == other.trunc and self.terms == other.terms)
 
     def __repr__(self):
         if not self.terms:

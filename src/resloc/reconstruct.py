@@ -29,7 +29,6 @@ from operator import sub
 
 from .errors import Inconsistent, NoRelationFound, RankDeficient
 from .fmt import fmt_fraction, fmt_tuple
-from .geometry import integrate
 from .laurent import LaurentClass, neg_part
 from .linalg import ExactSolver
 from .qseries import degree_vectors
@@ -85,17 +84,18 @@ class TwoPointTable:
         """The 2-point invariants of H^a with each H^b in bs, at degree d.
 
         Each integrates H^b * g_{d,a,0}, read once: norm * g_{d,a,0}[top - b].
-        When the ring's total-degree bound drops the top monomial, or some b
-        is not a basis exponent, each product H^b * g_{d,a,0} is integrated.
+        A b past the truncation leaves a negative entry, which is never a key,
+        so it reads 0; when the ring's total-degree bound drops the top
+        monomial, every integral is 0.
         """
         ring = self.ring_spec.ring
         g = self.g(d, self._as_exps(a), 0)
         bs = [self._as_exps(b) for b in bs]
         top = ring.top_exp
-        if ring.admits(top) and all(map(ring.admits, bs)):
-            return [g.coeffs.get(tuple(map(sub, top, b)), 0) * ring.norm
-                    for b in bs]
-        return [integrate(ring.monomial(b, 1) * g) for b in bs]
+        if not ring.admits(top):
+            return [Fraction(0)] * len(bs)
+        return [g.coeffs.get(tuple(map(sub, top, b)), 0) * ring.norm
+                for b in bs]
 
     def invariant(self, a, b, d):
         """The 2-point invariant <H^a, H^b>_d, by invariant_row."""

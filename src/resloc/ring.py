@@ -16,6 +16,14 @@ skips poly_mul's pair loop.  LaurentClass.__mul__ keeps its own t-product
 loop, which skips coefficient products that come out zero.
 Ring.embed is the one way to re-key a class into a wider ring.  All
 arithmetic is exact; there is no floating point anywhere in this package.
+
+Sparse is the one operator protocol of the element classes CohClass,
+LaurentClass, QSeries (with JFunction) and SymPoly.  A subclass defines
+__bool__, __add__, __neg__ and __mul__, a _coerce that turns an int, a
+Fraction or a smaller element (CohClass into LaurentClass, LaurentClass into
+QSeries) into one of its own kind or returns None, and a _key that ==
+compares.  Sparse derives is_zero, reflected +, -, ** and == from those, and
+checks rings.
 """
 
 from fractions import Fraction
@@ -195,7 +203,55 @@ class Ring:
         return self.monomial(tuple(exps))
 
 
-class CohClass:
+class Sparse:
+    """is_zero, reflected +, -, ** and == from a subclass's __bool__,
+    __add__, __neg__, __mul__, _coerce and _key (see the module docstring)."""
+
+    __slots__ = ()
+
+    def is_zero(self):
+        return not self
+
+    def _check_ring(self, other):
+        if self.ring is not other.ring and self.ring != other.ring:
+            raise RingMismatch("cannot combine elements of %r and %r"
+                               % (self.ring, other.ring))
+
+    def __radd__(self, other):
+        # through the subclass's __add__, so a traced __add__ counts it
+        return self.__add__(other)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.__add__(-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        out = self._coerce(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        # by the less derived class's key: a QSeries equals a JFunction
+        # with the same terms, although the JFunction's key holds its target
+        cls = type(self)
+        if not isinstance(other, cls):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+            cls = type(other)
+        return cls._key(self) == cls._key(other)
+
+
+class CohClass(Sparse):
     """Element of a Ring: finitely many monomials with exact coefficients.
 
     The coefficient dictionary never stores zero values and never stores an
@@ -209,11 +265,16 @@ class CohClass:
         self.ring = ring
         self.coeffs = coeffs
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
+
+    def _coerce(self, x):
+        if isinstance(x, (int, Fraction)):
+            return self.ring.monomial(self.ring.zero_exp, x)
+        return None
+
+    def _key(self):
+        return self.ring, self.coeffs
 
     def coeff(self, exps):
         return Fraction(self.coeffs.get(tuple(exps), 0))
@@ -230,33 +291,16 @@ class CohClass:
             return degs.pop()
         return None
 
-    def _check_ring(self, other):
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise RingMismatch("cannot combine elements of %r and %r"
-                               % (self.ring, other.ring))
-
     def __add__(self, other):
         if not isinstance(other, CohClass):
-            if not isinstance(other, (int, Fraction)):
+            other = self._coerce(other)
+            if other is None:
                 return NotImplemented
-            other = self.ring.monomial(self.ring.zero_exp, other)
         self._check_ring(other)
         return CohClass(self.ring, poly_add(self.coeffs, other.coeffs))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return CohClass(self.ring, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.monomial(self.ring.zero_exp, other)
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        return self.__add__(-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __mul__(self, other):
         # classes first: a miss against Fraction, an ABC, is a slow check
@@ -278,21 +322,6 @@ class CohClass:
         if c == 0:
             raise ZeroDivisionError("division of a ring element by zero")
         return self * (Fraction(1) / c)
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = self.ring.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.monomial(self.ring.zero_exp, other)
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
 
     def __repr__(self):
         if not self.coeffs:

@@ -19,7 +19,7 @@ from operator import add, sub
 
 from .errors import NotSymmetric
 from .laurent import LaurentClass
-from .ring import as_exact, poly_add, poly_mul
+from .ring import Sparse, as_exact, poly_add, poly_mul
 
 # ---------------------------------------------------------------------------
 # raw polynomial dictionaries {exponent tuple: int or Fraction}; no symmetry
@@ -118,7 +118,7 @@ def monomial_symmetric(m, partition):
 # ---------------------------------------------------------------------------
 
 
-class SymPoly:
+class SymPoly(Sparse):
     """Symmetric polynomial in q_1..q_m, validated on construction."""
 
     __slots__ = ("m", "coeffs")
@@ -153,8 +153,16 @@ class SymPoly:
     def from_monomial_orbit(cls, m, partition):
         return cls(m, monomial_symmetric(m, partition))
 
-    def is_zero(self):
-        return not self.coeffs
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def _coerce(self, x):
+        if isinstance(x, (int, Fraction)):
+            return SymPoly(self.m, p_const(self.m, x))
+        return None
+
+    def _key(self):
+        return self.m, self.coeffs
 
     def degree(self):
         """Top total degree, or -1 for the zero polynomial."""
@@ -163,28 +171,23 @@ class SymPoly:
         return max(sum(e) for e in self.coeffs)
 
     def __add__(self, other):
-        if not isinstance(other, SymPoly) or other.m != self.m:
+        if not isinstance(other, SymPoly):
+            other = self._coerce(other)
+        if other is None or other.m != self.m:
             return NotImplemented
         return SymPoly(self.m, poly_add(self.coeffs, other.coeffs))
 
-    def __sub__(self, other):
-        if not isinstance(other, SymPoly) or other.m != self.m:
-            return NotImplemented
-        return SymPoly(self.m, p_sub(self.coeffs, other.coeffs))
+    def __neg__(self):
+        return SymPoly(self.m, p_neg(self.coeffs))
 
     def __mul__(self, other):
+        if isinstance(other, SymPoly) and other.m == self.m:
+            return SymPoly(self.m, p_mul(self.coeffs, other.coeffs))
         if isinstance(other, (int, Fraction)):
             return SymPoly(self.m, p_scale(self.coeffs, other))
-        if not isinstance(other, SymPoly) or other.m != self.m:
-            return NotImplemented
-        return SymPoly(self.m, p_mul(self.coeffs, other.coeffs))
+        return NotImplemented
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, SymPoly):
-            return NotImplemented
-        return self.m == other.m and self.coeffs == other.coeffs
 
     def evaluate(self, args):
         """Evaluate at LaurentClass arguments (one per variable).

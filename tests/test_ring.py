@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from resloc.errors import RingMismatch
 from resloc.laurent import LaurentClass, invert_linear_power, laurent_invert
 from resloc.linalg import ExactSolver
+from resloc.qseries import QSeries
 from resloc.reconstruct import _splits
 from resloc.ring import CohClass, Ring, as_fraction, poly_add, poly_mul
 from resloc.schubert import flag_band, flag_fixed_locus_euler, zeta_ring
+from resloc.sympoly import SymPoly
 
 R1 = Ring(("H",), (3,))
 R2 = Ring(("h", "z"), (4, 3))
@@ -224,6 +226,8 @@ def test_bool_is_nonzero():
     assert not LaurentClass.zero(R1)
     assert LaurentClass.one(R1)
     assert not LaurentClass.from_coh(h) - LaurentClass.from_coh(h)
+    assert not QSeries.zero(R1, 1, 3) and QSeries.one(R1, 1, 3)
+    assert not SymPoly(2, {}) and SymPoly.from_schur(2, (1,))
 
 
 def test_embed_at_each_offset():
