@@ -38,10 +38,6 @@ class JFunction(QSeries):
                          {tuple(d): c for d, c in coeffs.items() if c})
         self.ring_spec = ring_spec
 
-    def truncate(self, new_trunc):
-        return JFunction(self.ring_spec, new_trunc,
-                         QSeries.truncate(self, new_trunc).terms)
-
     def check_shape(self, expected_f0=None):
         """True when F_0 matches and every d != 0 term has t-exponents <= -2."""
         if expected_f0 is None:

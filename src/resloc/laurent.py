@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import NotInvertible, RingMismatch
-from .ring import CohClass, Sparse, as_exact, poly_add
+from .ring import CohClass, Sparse, poly_add
 
 
 class LaurentClass(Sparse):
@@ -203,19 +203,3 @@ def linear_power_series(c, k, terms):
     return ([(-1) ** j * comb(k + j - 1, j) * c ** (terms - 1 - j)
              for j in range(terms)], c ** (k + terms - 1))
 
-
-def invert_linear_power(c, x, k):
-    """(c*t + x)^-k for a nonzero rational c, a nilpotent CohClass x and k >= 1.
-
-    The binomial series sum_j binom(-k, j) * x^j * (c*t)^(-k-j) terminates
-    because x has no scalar part, so x^j = 0 beyond the nilpotency bound.
-    """
-    if c == 0 or x.scalar_part != 0:
-        raise NotInvertible("c*t + x needs c != 0 and x nilpotent")
-    nums, den = linear_power_series(as_exact(c), k, x.ring.nilpotency_bound)
-    out, power = {}, x.ring.one()
-    for j, a in enumerate(nums):
-        if power:
-            out[-k - j] = power * Fraction(a, den)
-        power = power * x
-    return LaurentClass(x.ring, out)

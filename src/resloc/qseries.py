@@ -53,9 +53,11 @@ class QSeries(Sparse):
         return bool(self.terms)
 
     def _coerce(self, x):
-        if isinstance(x, (int, Fraction, LaurentClass)):
-            return QSeries.constant(self.ring, self.nvars, self.trunc, x)
-        return None
+        if isinstance(x, LaurentClass):
+            self._check_ring(x)
+        elif not isinstance(x, (int, Fraction)):
+            return None
+        return QSeries.constant(self.ring, self.nvars, self.trunc, x)
 
     def _key(self):
         return self.ring, self.nvars, self.trunc, self.terms
@@ -101,17 +103,6 @@ class QSeries(Sparse):
                        poly_mul(self.terms, other.terms, total=self.trunc))
 
     __rmul__ = __mul__
-
-    def q_shift(self, deg):
-        """Multiply by the monomial q^deg, dropping terms beyond the bound."""
-        deg = tuple(deg)
-        extra = sum(deg)
-        out = {}
-        for d, c in self.terms.items():
-            if sum(d) + extra > self.trunc:
-                continue
-            out[tuple(a + b for a, b in zip(d, deg))] = c
-        return QSeries(self.ring, self.nvars, self.trunc, out)
 
     def truncate(self, new_trunc):
         """Restrict to total degree <= new_trunc (must not exceed current)."""

@@ -242,9 +242,6 @@ class QuantumMatrix:
         self.divisor_index = int(divisor_index)
         self.entries = entries
 
-    def entry(self, row, col):
-        return dict(self.entries.get(tuple(col), {}).get(tuple(row), {}))
-
     def apply(self, vec):
         """Multiply a vector of q-polynomials {row: {deg: Fraction}}."""
         out = {}

@@ -184,12 +184,15 @@ class Ring:
         return CohClass(self, {exps: c})
 
     def embed(self, c, offset):
-        """c with its generators moved to this ring's, starting at offset."""
-        width = len(c.ring.gens)
-        pad = len(self.gens) - offset - width
-        if offset < 0 or pad < 0:
-            raise ValueError("%d generators do not fit in %r at offset %d"
-                             % (width, self, offset))
+        """c with its generators moved to this ring's, starting at offset;
+        c's ring must fit there, truncation by truncation and in total."""
+        pad = len(self.gens) - offset - len(c.ring.gens)
+        if (offset < 0 or pad < 0
+                or any(map(lt, self.truncs[offset:], c.ring.truncs))
+                or self.total is not None
+                and c.ring.nilpotency_bound - 1 > self.total):
+            raise ValueError("%r does not fit in %r at offset %d"
+                             % (c.ring, self, offset))
         before, after = (0,) * offset, (0,) * pad
         return CohClass(self, {before + e + after: v
                                for e, v in c.coeffs.items()})

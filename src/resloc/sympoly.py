@@ -103,18 +103,6 @@ def _perm_sign(sigma):
     return sign
 
 
-def monomial_symmetric(m, partition):
-    """Monomial symmetric polynomial: sum of distinct permutations of q^partition."""
-    lam = tuple(int(x) for x in partition)
-    if len(lam) > m:
-        raise ValueError("partition longer than the number of variables")
-    padded = lam + (0,) * (m - len(lam))
-    out = {}
-    for perm in set(itertools.permutations(padded)):
-        out[perm] = 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -145,14 +133,6 @@ class SymPoly(Sparse):
                         witness=(i + 1, i + 2))
         self.coeffs = out
 
-    @classmethod
-    def from_schur(cls, m, partition):
-        return cls(m, schur_poly(m, partition))
-
-    @classmethod
-    def from_monomial_orbit(cls, m, partition):
-        return cls(m, monomial_symmetric(m, partition))
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -163,12 +143,6 @@ class SymPoly(Sparse):
 
     def _key(self):
         return self.m, self.coeffs
-
-    def degree(self):
-        """Top total degree, or -1 for the zero polynomial."""
-        if not self.coeffs:
-            return -1
-        return max(sum(e) for e in self.coeffs)
 
     def __add__(self, other):
         if not isinstance(other, SymPoly):

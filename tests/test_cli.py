@@ -23,7 +23,7 @@ from resloc.jfun import i_function, j_projective, mirror_normalize
 from resloc.schubert import (default_weight_samples, flag_pushforward_extract,
                              grassmann_integral_residue,
                              suggested_sample_count)
-from resloc.sympoly import SymPoly
+from resloc.sympoly import SymPoly, schur_poly
 
 
 def invoke(capsys, argv):
@@ -392,10 +392,10 @@ def test_schubert_duality_with_g2n(capsys, n):
             continue
         tau = "sigma(%s)*sigma(%s)*sigma(1)^%d" % (
             ",".join(map(str, lam)), ",".join(map(str, mu)), k)
-        dual = SymPoly.from_schur(2, _conjugate(lam)) * SymPoly.from_schur(
-            2, _conjugate(mu))
+        dual = (SymPoly(2, schur_poly(2, _conjugate(lam)))
+                * SymPoly(2, schur_poly(2, _conjugate(mu))))
         for _ in range(k):
-            dual = dual * SymPoly.from_schur(2, (1,))
+            dual = dual * SymPoly(2, schur_poly(2, (1,)))
         assert _schubert_value(capsys, m, n, tau) \
             == grassmann_integral_residue(n, dual), (n, lam, mu)
 

@@ -95,7 +95,6 @@ def test_series_view():
     assert isinstance(j, QSeries) and j.nvars == 1
     assert j.coefficient((1,)) == j.coefficient(1)
     assert j.coefficient((3,)).is_zero()
-    assert type(j.truncate(1)) is JFunction
     i = i_function(4, 5, 2)
     assert isinstance(i, JFunction) and i.l == 5
 

@@ -3,7 +3,7 @@
 import pytest
 
 from resloc.errors import NotSymmetric, TauSyntaxError
-from resloc.sympoly import SymPoly, sym_power_top_chern
+from resloc.sympoly import SymPoly, schur_poly, sym_power_top_chern
 from resloc.tau_parser import parse_tau
 
 
@@ -13,9 +13,9 @@ def test_constant():
 
 
 def test_elementary_expressions():
-    assert parse_tau("q1 + q2", 2) == SymPoly.from_schur(2, (1,))
-    assert parse_tau("q1*q2", 2) == SymPoly.from_schur(2, (1, 1))
-    s1_sq = SymPoly.from_schur(2, (2,)) + SymPoly.from_schur(2, (1, 1))
+    assert parse_tau("q1 + q2", 2) == SymPoly(2, schur_poly(2, (1,)))
+    assert parse_tau("q1*q2", 2) == SymPoly(2, schur_poly(2, (1, 1)))
+    s1_sq = SymPoly(2, schur_poly(2, (2,))) + SymPoly(2, schur_poly(2, (1, 1)))
     assert parse_tau("(q1+q2)^2", 2) == s1_sq
 
 
@@ -38,7 +38,7 @@ def test_repeated_exponent():
 
 
 def test_sigma():
-    assert parse_tau("sigma(2,1)", 3) == SymPoly.from_schur(3, (2, 1))
+    assert parse_tau("sigma(2,1)", 3) == SymPoly(3, schur_poly(3, (2, 1)))
     assert parse_tau("sigma(1)", 2) == parse_tau("q1+q2", 2)
     # more rows than variables collapses to zero
     assert parse_tau("sigma(1,1,1)", 2).is_zero()

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import add, eq, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -53,11 +54,22 @@ def test_shape_mismatch():
         a + QSeries.one(other, 1, 3)
 
 
+def test_laurent_class_of_another_ring_is_refused():
+    q = QSeries(R, 1, 2, {(1,): LaurentClass.one(R)})
+    x = LaurentClass.one(Ring(("x",), (2,)))
+    for combine in (add, sub, mul, eq):
+        for left, right in ((q, x), (x, q)):
+            with pytest.raises(RingMismatch):
+                combine(left, right)
+    assert q + LaurentClass.one(R) == q + 1
+
+
 def test_q_shift_and_truncate():
     s = QSeries.one(R, 1, 4) + scalar(R, 1, 5)
-    shifted = s.q_shift((2,))
+    shifted = s * scalar(R, 2, 1)
     assert shifted.coefficient((2,)) == LaurentClass.one(R)
     assert shifted.coefficient((3,)) == LaurentClass.t_power(R, 0, 5)
+    assert (s * scalar(R, 4, 1)).degrees() == [(4,)]
     cut = s.truncate(0)
     assert cut.trunc == 0 and cut.coefficient((1,)).is_zero()
     with pytest.raises(ValueError):
@@ -168,12 +180,14 @@ def exp_by_sum(e):
 
 
 def compose_by_sum(f, s):
-    """sum_d f_d * q^d * exp(s)^d from series products and q_shift."""
+    """sum_d f_d * q^d * exp(s)^d from series products alone."""
+    ring, trunc = f.ring, f.trunc
     growth = exp_by_sum(s)
-    out = QSeries.zero(f.ring, 1, f.trunc)
-    epow = QSeries.one(f.ring, 1, f.trunc)
-    for d in range(f.trunc + 1):
-        out = out + (epow * f.coefficient((d,))).q_shift((d,))
+    out = QSeries.zero(ring, 1, trunc)
+    epow = QSeries.one(ring, 1, trunc)
+    for d in range(trunc + 1):
+        q_d = QSeries(ring, 1, trunc, {(d,): LaurentClass.one(ring)})
+        out = out + epow * f.coefficient((d,)) * q_d
         epow = epow * growth
     return out
 

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resloc.errors import RingMismatch
-from resloc.laurent import LaurentClass, invert_linear_power, laurent_invert
+from resloc.laurent import LaurentClass, laurent_invert
 from resloc.linalg import ExactSolver
 from resloc.qseries import QSeries
 from resloc.reconstruct import _splits
 from resloc.ring import CohClass, Ring, as_fraction, poly_add, poly_mul
 from resloc.schubert import flag_band, flag_fixed_locus_euler, zeta_ring
-from resloc.sympoly import SymPoly
+from resloc.sympoly import SymPoly, schur_poly
 
 R1 = Ring(("H",), (3,))
 R2 = Ring(("h", "z"), (4, 3))
@@ -227,7 +227,7 @@ def test_bool_is_nonzero():
     assert LaurentClass.one(R1)
     assert not LaurentClass.from_coh(h) - LaurentClass.from_coh(h)
     assert not QSeries.zero(R1, 1, 3) and QSeries.one(R1, 1, 3)
-    assert not SymPoly(2, {}) and SymPoly.from_schur(2, (1,))
+    assert not SymPoly(2, {}) and SymPoly(2, schur_poly(2, (1,)))
 
 
 def test_embed_at_each_offset():
@@ -256,6 +256,18 @@ def test_embed_past_the_generators_raises(gens, offset):
     c = Ring(tuple("uvwx")[:gens], (2,) * gens).one()
     with pytest.raises(ValueError):
         wide.embed(c, offset)
+
+
+def test_embed_into_a_smaller_ring_raises():
+    # a^2 would be stored as x^2, which Q[x, y]/(x^2, y^2) does not admit
+    a_sq = Ring(("a",), (3,)).generator("a") ** 2
+    with pytest.raises(ValueError, match="does not fit"):
+        Ring(("x", "y"), (2, 2)).embed(a_sq, 0)
+    # the same truncation, but a total-degree bound below a's top degree 2
+    with pytest.raises(ValueError, match="does not fit"):
+        Ring(("x", "y"), (3, 3), total=1).embed(a_sq, 1)
+    assert Ring(("x", "y"), (3, 3), total=2).embed(a_sq, 1).coeffs == {
+        (0, 2): 1}
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -340,8 +352,7 @@ def test_kernel_never_makes_a_float(data, ring):
     unit = LaurentClass.t_power(ring, 1, s) + LaurentClass.from_coh(x)
     cohs = [a + b, a - b, a * b, a * s, s * b, a / s, a + s, s - b,
             ring.monomial(ring.zero_exp, s), solution[0]]
-    laurents = [unit, unit * s, laurent_invert(unit),
-                invert_linear_power(s, x, 2)]
+    laurents = [unit, unit * s, laurent_invert(unit)]
     assert exact([solution[1]])
     for c in cohs:
         assert exact(c.coeffs.values())

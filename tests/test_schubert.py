@@ -24,9 +24,15 @@ from resloc.schubert import (ZetaTable, _as_weights, _flag_level_rows,
                              suggested_sample_count,
                              verify_euler_pushforward_identity,
                              verify_grassmann_pushforward, zeta_ring)
-from resloc.sympoly import (SymPoly, monomial_symmetric, schur_integral_oracle,
+from resloc.sympoly import (SymPoly, schur_integral_oracle, schur_poly,
                             sym_power_top_chern)
 from resloc.tau_parser import parse_tau
+
+
+def _orbit(m, partition):
+    """The monomial symmetric polynomial of partition in m variables."""
+    lam = tuple(partition) + (0,) * (m - len(partition))
+    return SymPoly(m, dict.fromkeys(itertools.permutations(lam), 1))
 
 
 def test_weight_vector():
@@ -50,8 +56,8 @@ def test_fiberdim_and_band():
 
 
 def test_classical_residue_values():
-    s1 = SymPoly.from_schur(2, (1,))
-    s11 = SymPoly.from_schur(2, (1, 1))
+    s1 = SymPoly(2, schur_poly(2, (1,)))
+    s11 = SymPoly(2, schur_poly(2, (1, 1)))
     assert grassmann_integral_residue(4, s1 * s1 * s1 * s1) == 2
     assert grassmann_integral_residue(4, s11 * s11) == 1
     assert grassmann_integral_residue(4, sym_power_top_chern(3)) == 27
@@ -64,7 +70,7 @@ def test_residue_matches_schur_oracle(n):
     # bench's m = 2 range
     deg = 2 * (n - 2)
     for lam in [(a, deg - a) for a in range(deg - deg // 2, deg + 1)]:
-        tau = SymPoly.from_monomial_orbit(2, lam)
+        tau = _orbit(2, lam)
         assert (grassmann_integral_residue(n, tau)
                 == schur_integral_oracle(2, n, tau)), (n, lam)
 
@@ -72,7 +78,7 @@ def test_residue_matches_schur_oracle(n):
 @pytest.mark.parametrize("n", [5, 14])
 def test_residue_of_fraction_coefficients(n):
     # sigma(1)^dim with Fraction coefficients, and half of it
-    s1 = tau = SymPoly.from_schur(2, (1,))
+    s1 = tau = SymPoly(2, schur_poly(2, (1,)))
     for _ in range(2 * (n - 2) - 1):
         tau = tau * s1
     as_fractions = SymPoly(2, {e: Fraction(c) for e, c in tau.coeffs.items()})
@@ -84,7 +90,7 @@ def test_residue_of_fraction_coefficients(n):
 
 
 def test_residue_degree_mismatch_is_zero():
-    s1 = SymPoly.from_schur(2, (1,))
+    s1 = SymPoly(2, schur_poly(2, (1,)))
     assert grassmann_integral_residue(4, s1) == 0
 
 
@@ -292,8 +298,7 @@ def test_verify_pullback_m2():
             lam = tuple(sorted(lam, reverse=True))
             if sum(lam) != deg:
                 continue
-            tau = SymPoly(2, monomial_symmetric(2, tuple(x for x in lam if x)
-                                                or (0, 0)))
+            tau = _orbit(2, lam)
             assert verify_grassmann_pushforward(2, n, tau, w, zt), (n, lam)
 
 
@@ -302,10 +307,10 @@ def test_verify_pullback_m3():
     zt5 = flag_pushforward_extract(3, 5)
     w = (0, 1, 3)
     for lam in [(1, 1, 1), (2, 1, 0), (1, 1, 0), (1, 0, 0), (2, 2, 2)]:
-        tau = SymPoly.from_schur(3, tuple(x for x in lam if x))
+        tau = SymPoly(3, schur_poly(3, tuple(x for x in lam if x)))
         assert verify_grassmann_pushforward(3, 4, tau, w, zt4), lam
     for lam in [(2, 2, 2), (3, 2, 1), (1, 1, 1)]:
-        tau = SymPoly.from_schur(3, tuple(x for x in lam if x))
+        tau = SymPoly(3, schur_poly(3, tuple(x for x in lam if x)))
         assert verify_grassmann_pushforward(3, 5, tau, w, zt5), lam
 
 
@@ -314,7 +319,7 @@ def test_verify_pullback_detects_corruption():
     bad_entries = dict(zt.entries)
     bad_entries[(2,)] = bad_entries[(2,)] * 3
     bad = ZetaTable(2, 4, bad_entries)
-    s2 = SymPoly.from_schur(2, (2,))
+    s2 = SymPoly(2, schur_poly(2, (2,)))
     tau = s2 * s2
     w = (0, 1)
     assert verify_grassmann_pushforward(2, 4, tau, w, zt)
@@ -339,14 +344,14 @@ def _pullback_cases():
         deg = 2 * (n - 2)
         for a in range(deg // 2 + 1):
             lam = tuple(x for x in (deg - a, a) if x)
-            yield 2, n, SymPoly.from_monomial_orbit(2, lam), (0, 1), _table(2, n)
+            yield 2, n, _orbit(2, lam), (0, 1), _table(2, n)
     for n, lams in ((4, [(1, 1, 1), (2, 1), (1, 1), (1,), (2, 2, 2)]),
                     (5, [(2, 2, 2), (3, 2, 1), (1, 1, 1)])):
         for lam in lams:
-            yield 3, n, SymPoly.from_schur(3, lam), (0, 1, 3), _table(3, n)
+            yield 3, n, SymPoly(3, schur_poly(3, lam)), (0, 1, 3), _table(3, n)
     bad_entries = dict(_table(2, 4).entries)
     bad_entries[(2,)] = bad_entries[(2,)] * 3
-    s2 = SymPoly.from_schur(2, (2,))
+    s2 = SymPoly(2, schur_poly(2, (2,)))
     yield 2, 4, s2 * s2, (0, 1), ZetaTable(2, 4, bad_entries)
     yield (3, 6, parse_tau("sigma(1)^9", 3), default_weight_samples(3, 1)[0],
            _table(3, 6))
@@ -368,7 +373,7 @@ def test_verify_pullback_rejects_inhomogeneous_table():
     # the band cut is exact only for entries c * h^(|A| - fiberdim)
     entries = dict(_table(2, 4).entries)
     entries[(3,)] = entries[(3,)] + pv_ring(4).one()
-    s2 = SymPoly.from_schur(2, (2,))
+    s2 = SymPoly(2, schur_poly(2, (2,)))
     with pytest.raises(ValueError, match="fiberdim"):
         verify_grassmann_pushforward(2, 4, s2 * s2, (0, 1),
                                      ZetaTable(2, 4, entries))
@@ -383,7 +388,8 @@ def _schur_products(m, n):
     yield parse_tau("sigma(1)^%d" % dim, m)
     for lam, mu in itertools.combinations_with_replacement(parts, 2):
         if sum(lam) + sum(mu) == dim:
-            yield SymPoly.from_schur(m, lam) * SymPoly.from_schur(m, mu)
+            yield (SymPoly(m, schur_poly(m, lam))
+                   * SymPoly(m, schur_poly(m, mu)))
 
 
 def _north_star_weights():
@@ -408,7 +414,7 @@ def test_flag_route_integral_matches_residue_at_m2(n):
     deg = 2 * (n - 2)
     for a in range(deg // 2 + 1):
         lam = tuple(x for x in (deg - a, a) if x)
-        tau = SymPoly.from_monomial_orbit(2, lam)
+        tau = _orbit(2, lam)
         assert (_flag_route_integral(2, n, tau, _table(2, n))
                 == grassmann_integral_residue(n, tau)), (n, lam)
 

@@ -9,10 +9,15 @@ from resloc.errors import NotSymmetric
 from resloc.laurent import LaurentClass
 from resloc.ring import Ring
 from resloc.ring import poly_add, poly_mul
-from resloc.sympoly import (SymPoly, monomial_symmetric, schur_expand,
-                            schur_integral_oracle, schur_poly,
-                            sym_power_top_chern)
+from resloc.sympoly import (SymPoly, schur_expand, schur_integral_oracle,
+                            schur_poly, sym_power_top_chern)
 from resloc.tau_parser import parse_tau
+
+
+def _orbit(m, partition):
+    """The monomial symmetric polynomial of partition in m variables."""
+    lam = tuple(partition) + (0,) * (m - len(partition))
+    return SymPoly(m, dict.fromkeys(itertools.permutations(lam), 1))
 
 
 def complete_homogeneous(m, k):
@@ -69,39 +74,20 @@ def test_schur_hand_values():
         schur_poly(2, (-1,))
 
 
-def test_monomial_symmetric():
-    assert monomial_symmetric(2, (2,)) == {(2, 0): 1, (0, 2): 1}
-    assert monomial_symmetric(2, (1, 1)) == {(1, 1): 1}
-    assert monomial_symmetric(3, (2, 1)) == {
-        (2, 1, 0): 1, (2, 0, 1): 1, (1, 2, 0): 1,
-        (0, 2, 1): 1, (1, 0, 2): 1, (0, 1, 2): 1}
-    with pytest.raises(ValueError):
-        monomial_symmetric(1, (1, 1))
-
-
 def test_sympoly_validation():
     with pytest.raises(NotSymmetric) as exc:
         SymPoly(2, {(2, 0): Fraction(1)})
     assert exc.value.witness == (1, 2)
-    p = SymPoly.from_schur(2, (2, 1))
-    assert p.degree() == 3
-    mixed = SymPoly(2, {(0, 0): 1, (1, 1): 1})
-    assert mixed.degree() == 2
 
 
 def test_sympoly_arithmetic():
-    e1 = SymPoly.from_schur(2, (1,))
-    e2 = SymPoly.from_schur(2, (1, 1))
+    e1 = SymPoly(2, schur_poly(2, (1,)))
+    e2 = SymPoly(2, schur_poly(2, (1, 1)))
     prod = e1 * e2
     # Pieri: s1 * s11 = s21 + s111 = s21 in two variables
-    assert prod == SymPoly.from_schur(2, (2, 1))
+    assert prod == SymPoly(2, schur_poly(2, (2, 1)))
     assert (e1 + e1) == e1 * 2
     assert (e1 - e1).is_zero()
-
-
-def test_from_monomial_orbit():
-    p = SymPoly.from_monomial_orbit(2, (3, 1))
-    assert p.coeffs == {(3, 1): 1, (1, 3): 1}
 
 
 def test_sym_power_top_chern():
@@ -120,7 +106,7 @@ def test_schur_expand():
     # round trip: rebuild from the expansion
     rebuilt = SymPoly(2, {})
     for lam, c in coeffs.items():
-        rebuilt = rebuilt + SymPoly.from_schur(2, lam) * c
+        rebuilt = rebuilt + SymPoly(2, schur_poly(2, lam)) * c
     assert rebuilt == sym_power_top_chern(3)
 
 
@@ -130,11 +116,11 @@ def test_schur_expand_fractional_coefficients():
 
 
 def test_schur_integral_oracle():
-    s2 = SymPoly.from_schur(2, (2,))
+    s2 = SymPoly(2, schur_poly(2, (2,)))
     assert schur_integral_oracle(2, 4, s2 * s2) == 1
-    s11 = SymPoly.from_schur(2, (1, 1))
+    s11 = SymPoly(2, schur_poly(2, (1, 1)))
     assert schur_integral_oracle(2, 4, s11 * s11) == 1
-    s1 = SymPoly.from_schur(2, (1,))
+    s1 = SymPoly(2, schur_poly(2, (1,)))
     assert schur_integral_oracle(2, 4, s1 * s1 * s1 * s1) == 2
     # degree mismatch integrates to zero
     assert schur_integral_oracle(2, 4, s1) == 0
@@ -149,7 +135,7 @@ def test_evaluate():
     h = LaurentClass.from_coh(ring.generator("h"))
     z = LaurentClass.from_coh(ring.generator("z"))
     t1 = LaurentClass.t_power(ring, 1, 1)
-    p = SymPoly.from_schur(2, (1,))
+    p = SymPoly(2, schur_poly(2, (1,)))
     assert p.evaluate([h, h + z]) == h * 2 + z
     q = SymPoly(2, {(1, 1): 1})
     assert q.evaluate([h + t1, h - t1]) == (h + t1) * (h - t1)
@@ -166,7 +152,7 @@ def pairs_of_partitions(draw):
 @settings(max_examples=30, deadline=None)
 @given(pairs_of_partitions(), pairs_of_partitions())
 def test_schur_products_expand_integrally(lam, mu):
-    p = SymPoly.from_schur(2, lam) * SymPoly.from_schur(2, mu)
+    p = SymPoly(2, schur_poly(2, lam)) * SymPoly(2, schur_poly(2, mu))
     coeffs = schur_expand(p)
     # Littlewood-Richardson coefficients are nonnegative integers
     for c in coeffs.values():
@@ -229,8 +215,7 @@ def symmetric_polys(draw):
         max_size=4))
     tau = SymPoly(m, {})
     for exps, c in orbits:
-        tau = tau + SymPoly.from_monomial_orbit(
-            m, sorted(exps, reverse=True)) * c
+        tau = tau + _orbit(m, exps) * c
     return tau
 
 
